@@ -48,11 +48,6 @@ def _fmt(x):
     return "%.10g" % x
 
 
-def _threads(args):
-    """Resolve --threads, with 0 meaning available parallelism."""
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
-
-
 def _poset(arg):
     try:
         return parse_poset_arg(arg)
@@ -127,8 +122,6 @@ def _cmd_cstar(args):
         poset,
         tol=args.tol,
         max_iter=args.max_iter,
-        seed=args.seed,
-        threads=_threads(args),
         name=args.poset,
     )
     record = rep.to_json_dict()
@@ -216,7 +209,7 @@ def _cmd_table1(args):
         if wanted is not None and name.lower() not in wanted:
             continue
         poset = catalog(spelling)
-        rep = threshold.c_star(poset, tol=args.tol, threads=_threads(args), name=name)
+        rep = threshold.c_star(poset, tol=args.tol, name=name)
         got_class = _CLASS_DISPLAY.get(rep.classification, rep.classification)
         flags = []
         if isinstance(reference, tuple):
@@ -410,8 +403,6 @@ def _build_parser():
     p.add_argument("poset")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=6000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0)
 
     p = add("classify", _cmd_classify, "uniform/balanced/general classification")
     p.add_argument("poset")
@@ -427,7 +418,6 @@ def _build_parser():
     p.add_argument("--rows", default=None, help="comma list of row names to include")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--value-tol", type=float, default=1e-4)
-    p.add_argument("--threads", type=int, default=0)
 
     p = add("ramsey-bounds", _cmd_ramsey_bounds, "exponent bounds for a pattern pair")
     p.add_argument("--p", required=True)

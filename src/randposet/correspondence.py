@@ -238,7 +238,7 @@ class ShadowMap:
 
     __slots__ = ("family", "q_mask", "subposet", "subfamily", "sigma")
 
-    def __init__(self, family, q_mask, subfamily_cache=None):
+    def __init__(self, family, q_mask):
         poset = family.poset
         self.family = family
         self.q_mask = q_mask

@@ -11,11 +11,7 @@ the general optimizer.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import pickle
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +31,6 @@ from .posets import (
 )
 from .correspondence import ShadowMap
 
-CACHE_ENV = "RANDPOSET_CACHE_DIR"
 DEFAULT_SIZE_CAP = 14
 
 
@@ -91,30 +86,18 @@ class ExponentTable:
         self.big_index = big
 
     @classmethod
-    def build(cls, poset, family=None, threads=1):
-        """Construct the table, optionally reusing an on-disk cache."""
+    def build(cls, poset, family=None):
+        """Construct the table from one shadow map per nonempty subposet."""
         if family is None:
             family = antichains(poset)
-        cached = _load_cached_table(poset, family)
-        if cached is not None:
-            return cached
-        q_masks = [q for q in range(1, 1 << poset.n)]
-
-        def one(q):
+        q_masks = list(range(1, 1 << poset.n))
+        sigma_list, sub_counts = [], []
+        for q in q_masks:
             shadow = ShadowMap(family, q)
-            return q.bit_count(), shadow.sigma, len(shadow.subfamily)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(one, q_masks))
-        else:
-            rows = [one(q) for q in q_masks]
-        sizes = [r[0] for r in rows]
-        sigma_list = [r[1] for r in rows]
-        sub_counts = [r[2] for r in rows]
-        table = cls(poset, family, q_masks, sizes, sigma_list, sub_counts)
-        _store_cached_table(poset, table)
-        return table
+            sigma_list.append(shadow.sigma)
+            sub_counts.append(len(shadow.subfamily))
+        sizes = [q.bit_count() for q in q_masks]
+        return cls(poset, family, q_masks, sizes, sigma_list, sub_counts)
 
     def values(self, alpha):
         """Exponent of every nonempty subposet under one weighting."""
@@ -144,61 +127,16 @@ class ExponentTable:
         return (-np.log(safe[sigma]) - 1.0) / self.sizes[q_index]
 
 
-def _cache_path(poset):
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    digest = hashlib.sha256(repr(poset_key(poset)).encode()).hexdigest()[:24]
-    return os.path.join(root, "shadow_%s.pkl" % digest)
-
-
-def _load_cached_table(poset, family):
-    path = _cache_path(poset)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "rb") as fh:
-            data = pickle.load(fh)
-        if data["key"] != poset_key(poset) or data["masks"] != family.masks:
-            return None
-        return ExponentTable(
-            poset, family, data["q_masks"], data["sizes"], data["sigma_list"], data["sub_counts"]
-        )
-    except Exception:
-        return None
-
-
-def _store_cached_table(poset, table):
-    path = _cache_path(poset)
-    if not path:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    data = {
-        "key": poset_key(poset),
-        "masks": table.family.masks,
-        "q_masks": table.q_masks,
-        "sizes": [int(s) for s in table.sizes],
-        "sigma_list": table.sigma_list,
-        "sub_counts": [
-            int(table.seg_offsets[i + 1] - table.seg_offsets[i]) for i in range(len(table.q_masks))
-        ],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        pickle.dump(data, fh)
-    os.replace(tmp, path)
-
-
 _TABLE_CACHE = {}
 
 
-def _get_table(poset, threads=1):
+def _get_table(poset):
     """Process-local table cache keyed by the poset's order."""
     key = poset_key(poset)
     hit = _TABLE_CACHE.get(key)
     if hit is None:
         family = antichains(poset)
-        hit = ExponentTable.build(poset, family, threads=threads)
+        hit = ExponentTable.build(poset, family)
         _TABLE_CACHE[key] = hit
     return hit
 
@@ -224,11 +162,13 @@ def _apply_element_perm(mask, perm):
 
 
 def antichain_symmetry_group(poset, family):
-    """Index permutations of the antichain family that leave the objective fixed.
+    """Index permutations of the antichain family that generate its symmetry group.
 
-    Generated by automorphisms acting elementwise and, for each
-    order-reversing self-bijection psi, the complementation action sending an
-    antichain S to psi^{-1} of the maximal elements outside S's up-set.
+    One generator per automorphism, acting elementwise, and one per
+    order-reversing self-bijection psi, through the complementation action
+    sending an antichain S to psi^{-1} of the maximal elements outside S's
+    up-set. Every element of the group they generate leaves the objective
+    fixed. The identity is among the generators.
     """
     m = len(family)
     full = poset.full_mask()
@@ -248,32 +188,31 @@ def antichain_symmetry_group(poset, family):
                     maxers |= 1 << i
             perm.append(family.position(_apply_element_perm(maxers, psi_inv)))
         gens.add(tuple(perm))
-    identity = tuple(range(m))
-    group = {identity}
-    frontier = [g for g in gens if g != identity]
-    for g in frontier:
+    for g in gens:
         if sorted(g) != list(range(m)):
             raise PosetError("symmetry action is not a permutation (internal error)")
-    group.update(frontier)
-    while frontier:
-        g = frontier.pop()
-        for h in list(group):
-            for comp in (tuple(g[j] for j in h), tuple(h[j] for j in g)):
-                if comp not in group:
-                    group.add(comp)
-                    frontier.append(comp)
-    return [np.array(g, dtype=np.intp) for g in sorted(group)]
+    return [np.array(g, dtype=np.intp) for g in sorted(gens)]
 
 
-def _orbit_average(alpha, group):
-    if len(group) <= 1:
-        return alpha
-    out = np.zeros_like(alpha)
-    for perm in group:
-        pushed = np.empty_like(alpha)
-        pushed[perm] = alpha
-        out += pushed
-    return out / len(group)
+def _orbit_labels(generators):
+    """Orbit index of every antichain under the group the generators generate.
+
+    Each label is lowered to the smallest label one generator step away until
+    nothing changes; along every cycle of a permutation the labels then agree,
+    so each orbit carries its least member.
+    """
+    gens = np.array(generators)
+    label = np.arange(gens.shape[1])
+    while True:
+        lowered = np.minimum(label, label[gens].min(axis=0))
+        if np.array_equal(lowered, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = lowered
+
+
+def _orbit_average(alpha, orbit):
+    """Mean of a weighting over each orbit: its average over the whole group."""
+    return (np.bincount(orbit, weights=alpha) / np.bincount(orbit))[orbit]
 
 
 # -- reports -------------------------------------------------------------------
@@ -593,8 +532,6 @@ def c_star(
     poset,
     tol=None,
     max_iter=6000,
-    seed=0,
-    threads=1,
     size_cap=DEFAULT_SIZE_CAP,
     name=None,
 ):
@@ -617,12 +554,12 @@ def c_star(
         name = "poset(n=%d)" % poset.n
     comps = connected_components(poset)
     if len(comps) > 1:
-        return _c_star_disconnected(poset, comps, tol, max_iter, threads, size_cap, name)
+        return _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name)
 
     family = antichains(poset)
-    table = _get_table(poset, threads=threads)
+    table = _get_table(poset)
     m = len(family)
-    group = antichain_symmetry_group(poset, family)
+    orbit = _orbit_labels(antichain_symmetry_group(poset, family))
     notes = []
 
     starts = [np.full(m, 1.0 / m)]
@@ -682,10 +619,10 @@ def c_star(
             logs -= logs.max()
             alpha = np.exp(logs)
             alpha /= alpha.sum()
-            alpha = _orbit_average(alpha, group)
+            alpha = _orbit_average(alpha, orbit)
             alpha = np.maximum(alpha, 0.0)
             alpha /= alpha.sum()
-        try_improvements(_orbit_average(alpha, group))
+        try_improvements(_orbit_average(alpha, orbit))
         try_improvements(_kkt_polish(table, best_alpha))
         upper = min(upper, _dual_upper_bound(table, best_alpha))
 
@@ -724,10 +661,10 @@ def c_star(
     )
 
 
-def _c_star_disconnected(poset, comps, tol, max_iter, threads, size_cap, name):
+def _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name):
     """Component decomposition: the exponent is the minimum over components."""
     family = antichains(poset)
-    table = _get_table(poset, threads=threads)
+    table = _get_table(poset)
     reports = []
     for comp in comps:
         sub = induced_subposet(poset, comp)
@@ -736,7 +673,6 @@ def _c_star_disconnected(poset, comps, tol, max_iter, threads, size_cap, name):
                 sub,
                 tol=tol,
                 max_iter=max_iter,
-                threads=threads,
                 size_cap=size_cap,
                 name=name + "[component]",
             )

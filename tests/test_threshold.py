@@ -12,6 +12,7 @@ from randposet.posets import (
     PosetError,
     antichains,
     boolean_lattice,
+    catalog,
     chain,
     diamond,
     disjoint_union,
@@ -37,6 +38,8 @@ from randposet.threshold import (
     two_point_weighting,
     universality_band,
     wide_diamond_threshold,
+    _orbit_average,
+    _orbit_labels,
 )
 
 
@@ -202,24 +205,11 @@ def test_cstar_below_generic_upper_bounds():
             assert rep.value <= bounded_upper_bound(p) + 1e-6
 
 
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    import randposet.threshold as threshold
-
-    monkeypatch.setenv("RANDPOSET_CACHE_DIR", str(tmp_path))
-    p = double_diamond()
-    first = ExponentTable.build(p)
-    cached = list(tmp_path.iterdir())
-    assert cached
-
-    def boom(*args, **kwargs):
-        raise AssertionError("cache miss: shadow maps were rebuilt")
-
-    monkeypatch.setattr(threshold, "ShadowMap", boom)
-    second = ExponentTable.build(p)
-    assert len(second.sigma_list) == len(first.sigma_list)
-    for got, want in zip(second.sigma_list, first.sigma_list):
-        assert np.array_equal(got, want)
-    assert list(second.q_masks) == list(first.q_masks)
+def test_cstar_blowup_three_layers_of_four():
+    # |G| = 27,648 here: orbits from generators, with no group closure.
+    rep = c_star(catalog("blowup:3,4"))
+    assert rep.converged
+    assert rep.value == pytest.approx(blowup_bounds(3, 4)[1], abs=1e-9)
 
 
 def test_objective_concavity():
@@ -249,6 +239,43 @@ def test_objective_symmetry_invariance():
             g0 = table.objective(a)
             for perm in group:
                 assert abs(table.objective(a[perm]) - g0) <= 1e-12
+
+
+def _closed_group(generators):
+    """Every composition of the generators: the reference the orbit mean replaces."""
+    identity = tuple(range(len(generators[0])))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for s in generators:
+            h = tuple(g[j] for j in s)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return [np.array(g) for g in group]
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "boolean:3", "layered:2,1,2", "blowup:2,3"])
+def test_orbit_average_is_the_group_average(spec):
+    p = catalog(spec)
+    gens = antichain_symmetry_group(p, antichains(p))
+    group = _closed_group(gens)
+    assert len(group) <= 72
+    orbit = _orbit_labels(gens)
+    rng = random.Random(spec)
+    for _ in range(20):
+        a = random_simplex(rng, len(orbit))
+        want = np.zeros_like(a)
+        for perm in group:
+            pushed = np.empty_like(a)
+            pushed[perm] = a
+            want += pushed
+        want /= len(group)
+        got = _orbit_average(a, orbit)
+        assert np.abs(got - want).max() <= 1e-15
+        for perm in gens:
+            assert np.array_equal(got[perm], got)
 
 
 # -- balance equation ------------------------------------------------------------
