@@ -424,7 +424,7 @@ def _build_parser():
     p.add_argument("--q", required=True)
     p.add_argument("--h-poset", default=None, help="poset file for the known lower-bound host")
 
-    p = add("arrows", _cmd_arrows, "exhaustive arrow check for a host and pattern pair")
+    p = add("arrows", _cmd_arrows, "decide whether a host arrows a pattern pair (SAT)")
     p.add_argument("--host", required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)

@@ -2,11 +2,12 @@
 
 A host poset arrows a pattern pair when every red/blue colouring of its
 elements leaves a red copy of the first pattern or a blue copy of the
-second (weak subposet copies by default). This module decides arrows by
-exhaustive colouring search with incremental witness caching, bounds the
+second (weak subposet copies by default). This module reduces every arrow
+question to a CNF over one variable per host element, with one clause per
+copy of a pattern, solved by an embedded DPLL solver; it also encodes
+monochromatic-copy avoidance in subset lattices the same way and bounds the
 Ramsey threshold exponents via product and tower constructions plus a
-catalog of known pairs, and reduces monochromatic-copy avoidance in subset
-lattices to CNF solved by an embedded DPLL solver.
+catalog of known pairs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .posets import (
     binary_tree_2,
     double_diamond,
     diamond,
+    _embeddings,
 )
 from .correspondence import iter_copy_images
 from . import threshold
@@ -56,75 +58,29 @@ def _family(patterns):
     return out
 
 
-class _SideSearcher:
-    """Incremental search for a copy of any family member within one colour."""
-
-    __slots__ = ("host", "patterns", "induced", "found", "witness")
-
-    def __init__(self, host, patterns, induced):
-        self.host = host
-        self.patterns = patterns
-        self.induced = induced
-        self.found = False
-        self.witness = 0
-
-    def recompute(self, mask):
-        self.found = False
-        self.witness = 0
-        for pat in self.patterns:
-            hit = contains_copy(self.host, pat, induced=self.induced, within=mask)
-            if hit is not None:
-                self.found = True
-                for v in hit:
-                    self.witness |= 1 << v
-                return True
-        return False
-
-    def element_gained(self, mask):
-        if not self.found:
-            self.recompute(mask)
-
-    def element_lost(self, mask, element_bit):
-        if self.found and self.witness & element_bit:
-            self.recompute(mask)
+def _decide_arrow(host, firsts, seconds, induced):
+    """Solve the pair-avoidance CNF: (True, None) or (False, witness colouring)."""
+    res = solve_cnf(_pair_avoidance_cnf(host, firsts, seconds, induced))
+    if res.status == "unsat":
+        return True, None
+    return False, assignment_to_colouring(res.assignment, host.n)
 
 
 def arrows(host, first, second, induced=False):
     """Decide whether every 2-colouring of the host yields a monochromatic copy.
 
     ``first`` and ``second`` may each be a poset or a family (list) of
-    posets; colour 1 hosts the first, colour 2 the second. Returns
-    (True, None) or (False, witness) where the witness is a tuple assigning
-    1 or 2 to each host element.
+    posets; colour 1 hosts the first, colour 2 the second. The question is
+    the avoidance CNF over the host's copies, solved by the embedded solver.
+    Returns (True, None) when it is unsatisfiable, else (False, witness)
+    where the witness is a satisfying colouring: a tuple assigning 1 or 2 to
+    each host element.
     """
     firsts = _family(first)
     seconds = _family(second)
-    n = host.n
-    if n > ARROW_SIZE_CAP:
-        raise CapacityError("host has %d elements, above the exhaustive cap %d" % (n, ARROW_SIZE_CAP))
-    full = host.full_mask()
-    side1 = _SideSearcher(host, firsts, induced)
-    side2 = _SideSearcher(host, seconds, induced)
-    # Colour mask: set bit means colour 1. Start all colour 2.
-    mask = 0
-    side1.recompute(mask)
-    side2.recompute(full)
-    if not side1.found and not side2.found:
-        return False, tuple(2 for _ in range(n))
-    # Gray-code walk over the remaining colourings.
-    for step in range(1, 1 << n):
-        flip = (step ^ (step >> 1)) ^ ((step - 1) ^ ((step - 1) >> 1))
-        mask ^= flip
-        if mask & flip:
-            side1.element_gained(mask)
-            side2.element_lost(full & ~mask, flip)
-        else:
-            side2.element_gained(full & ~mask)
-            side1.element_lost(mask, flip)
-        if not side1.found and not side2.found:
-            colouring = tuple(1 if mask >> i & 1 else 2 for i in range(n))
-            return False, colouring
-    return True, None
+    if host.n > ARROW_SIZE_CAP:
+        raise CapacityError("host has %d elements, above the arrow cap %d" % (host.n, ARROW_SIZE_CAP))
+    return _decide_arrow(host, firsts, seconds, induced)
 
 
 def verify_colouring(host, colouring, first, second, induced=False):
@@ -153,20 +109,14 @@ def verify_colouring(host, colouring, first, second, induced=False):
 def ramsey_number(first, second, n_max=4, induced=False):
     """Smallest lattice dimension whose subset lattice arrows the pair.
 
-    Uses the exhaustive arrow search for dimensions up to 4 and the CNF
-    route above that; returns None when no dimension up to n_max works.
+    Every dimension is decided through the avoidance CNF, as in ``arrows``
+    but without its host-size cap; returns None when no dimension up to
+    n_max works.
     """
+    firsts = _family(first)
+    seconds = _family(second)
     for dim in range(1, n_max + 1):
-        host = boolean_lattice(dim)
-        if dim <= 4:
-            ok, _ = arrows(host, first, second, induced=induced)
-        else:
-            cnf = _pair_avoidance_cnf(host, _family(first), _family(second), induced)
-            res = solve_cnf(cnf)
-            if res.status == "unknown":
-                raise CapacityError("embedded solver gave up at dimension %d" % dim)
-            ok = res.status == "unsat"
-        if ok:
+        if _decide_arrow(boolean_lattice(dim), firsts, seconds, induced)[0]:
             return dim
     return None
 
@@ -236,13 +186,9 @@ def enumerate_pattern_copies(host, pattern, mode="all-weak", cap=SCAN_GUARD):
 
 def count_pattern_copies_direct(host, pattern, mode="all-weak"):
     """Independent copy count by backtracking embeddings, deduplicated."""
-    from .posets import _embeddings
-
-    induced = mode == "all-induced"
     if mode not in ("all-weak", "all-induced"):
         raise PosetError("mode must be all-weak or all-induced")
-    found = _embeddings(pattern, host, induced=induced, find_all=True)
-    return len({tuple(sorted(t)) for t in found})
+    return len(_all_copy_images(host, [pattern], mode == "all-induced"))
 
 
 # -- CNF machinery --------------------------------------------------------------
@@ -278,17 +224,20 @@ def parse_dimacs(text):
     """Read a DIMACS CNF file back into a CnfFormula (comments dropped)."""
     num_vars = None
     clauses = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise PosetError("bad DIMACS header: %r" % line)
-            num_vars = int(parts[2])
-            continue
-        lits = [int(v) for v in line.split()]
+        try:
+            if line.startswith("p"):
+                parts = line.split()
+                if len(parts) < 4 or parts[1] != "cnf":
+                    raise PosetError("bad DIMACS header: %r" % line)
+                num_vars = int(parts[2])
+                continue
+            lits = [int(v) for v in line.split()]
+        except ValueError:
+            raise PosetError("DIMACS line %d is not integers: %r" % (lineno, line)) from None
         if lits and lits[-1] == 0:
             lits = lits[:-1]
         if lits:
@@ -319,8 +268,6 @@ def encode_avoidance(host, pattern, mode="all-weak"):
 
 def _all_copy_images(host, patterns, induced):
     """Deduplicated copy images of any family member in an arbitrary host."""
-    from .posets import _embeddings
-
     images = set()
     for pat in patterns:
         for t in _embeddings(pat, host, induced=induced, find_all=True):
@@ -453,7 +400,6 @@ def solve_cnf(cnf, time_budget=None):
             return SatResult("unsat")
         if v is None:
             enqueue(u, "implied")
-    pos = 0
     if propagate(0):
         while True:
             if not backtrack():

@@ -167,19 +167,22 @@ def find_pattern(sample, pattern, induced=False, cap=GENERAL_SIZE_CAP):
         t = _chain_height(pattern)
         if t is not None:
             idx = _find_chain(words, t)
-            return None if idx is None else tuple(int(words[i]) for i in idx)
-        t = _star_leaves(pattern)
-        if t is not None:
-            idx = _find_star(words, t, flipped=False)
-            return None if idx is None else tuple(int(words[i]) for i in idx)
-        t = _star_leaves(reverse(pattern))
-        if t is not None:
-            idx = _find_star(words, t, flipped=True)
             if idx is None:
                 return None
-            image = [int(words[i]) for i in idx]
-            leaves, centre = image[1:], image[0]
-            return tuple(leaves + [centre])
+            # The chain element with r elements below it sits r steps up the path.
+            return tuple(int(words[idx[pattern.below[i].bit_count()]]) for i in range(pattern.n))
+        for flipped in (False, True):
+            t = _star_leaves(reverse(pattern) if flipped else pattern)
+            if t is None:
+                continue
+            idx = _find_star(words, t, flipped=flipped)
+            if idx is None:
+                return None
+            # The unique minimum (maximum when flipped) is the centre; the
+            # other elements take the found leaves in index order.
+            centre = (pattern.maximal_elements() if flipped else pattern.minimal_elements())[0]
+            leaves = iter(idx[1:])
+            return tuple(int(words[idx[0] if i == centre else next(leaves)]) for i in range(pattern.n))
     if k > cap:
         raise CapacityError("sample too large (%d > %d) for the generic search" % (k, cap))
     from .posets import contains_copy

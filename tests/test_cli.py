@@ -195,6 +195,15 @@ def test_sat_solve_from_patterns(capsys):
     assert len(record["colouring"]) == 8
 
 
+def test_sat_solve_rejects_non_integer_dimacs(tmp_path, capsys):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 2 1\n1 -2 0\n%\n0\n", encoding="utf-8")
+    code, out, err = run(capsys, "sat-solve", "--dimacs", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "line 3" in err
+
+
 def test_sat_solve_requires_an_input(capsys):
     code, _, err = run(capsys, "sat-solve")
     assert code == 1

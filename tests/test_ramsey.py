@@ -120,7 +120,31 @@ def test_ramsey_numbers_for_small_chains():
     assert ramsey_number(chain(2), chain(2)) == 2
     assert ramsey_number(chain(2), chain(3)) == 3
     assert ramsey_number(chain(3), chain(3)) == 4
+    # Dimension 5 has 32 elements, above the arrow cap, which ramsey_number does not apply.
+    assert ramsey_number(chain(3), chain(4), n_max=5) == 5
     assert ramsey_number(chain(2), chain(2), n_max=1) is None
+
+
+def test_ramsey_number_is_least_brute_force_dimension():
+    pairs = [
+        (chain(2), chain(3), False),
+        (vee(), vee(), False),
+        (vee(), wedge(), False),
+        ([vee(), wedge()], chain(2), False),
+        (vee(), vee(), True),
+    ]
+    for first, second, induced in pairs:
+        least = next(
+            (d for d in range(1, 4)
+             if brute_arrows(boolean_lattice(d), first, second, induced=induced)),
+            None,
+        )
+        assert ramsey_number(first, second, n_max=3, induced=induced) == least
+
+
+def test_ramsey_number_of_diamond_pair():
+    assert ramsey_number(diamond(), diamond()) == 4
+    assert ramsey_number(diamond(), diamond(), induced=True) == 4
 
 
 # -- copy enumeration ---------------------------------------------------------------
@@ -217,6 +241,15 @@ def test_dimacs_roundtrip():
 def test_parse_dimacs_rejects_bad_header():
     with pytest.raises(PosetError):
         parse_dimacs("p dnf 2 1\n1 0\n")
+    with pytest.raises(PosetError, match="line 1"):
+        parse_dimacs("p cnf two 1\n1 0\n")
+
+
+def test_parse_dimacs_rejects_non_integer_tokens():
+    with pytest.raises(PosetError, match="line 3"):
+        parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n")
+    with pytest.raises(PosetError, match="line 2"):
+        parse_dimacs("p cnf 2 1\n1 x 0\n")
 
 
 def test_solver_basic_outcomes():

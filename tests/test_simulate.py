@@ -8,12 +8,15 @@ import pytest
 
 from randposet.posets import (
     CapacityError,
+    Poset,
     PosetError,
     antichain_poset,
     antichains,
     boolean_lattice,
     chain,
+    contains_copy,
     layered,
+    parse_dsl,
     vee,
 )
 from randposet.simulate import (
@@ -132,6 +135,27 @@ def test_find_induced_pattern():
     assert find_pattern(hand_sample([0b01, 0b11]), antichain_poset(2), induced=True) is None
     got = find_pattern(hand_sample([0b01, 0b10]), antichain_poset(2), induced=True)
     assert got is not None
+
+
+def test_fast_paths_align_relabelled_patterns():
+    # A chain listed top-down, a wedge and a V whose centre is not element 0.
+    samples = [
+        hand_sample([0b001, 0b011, 0b101, 0b111]),
+        sample_pnp(10, 0.1, seed=3),
+    ]
+    for text in ("c\nb\na < b < c", "y < z\nx < z", "y\nx < y\nx < z"):
+        pattern = parse_dsl(text)
+        for s in samples:
+            image = find_pattern(s, pattern)
+            assert image is not None and is_weak_image(pattern, image)
+            w = copy_weighting(pattern, s.n, image)
+            assert sum(w) == pytest.approx(1.0)
+            host = Poset(
+                pattern.n,
+                [(i, j) for i in range(pattern.n) for j in range(pattern.n)
+                 if image[i] != image[j] and image[i] & ~image[j] == 0],
+            )
+            assert contains_copy(host, pattern) is not None
 
 
 def test_find_pattern_capacity_guard():
