@@ -401,7 +401,7 @@ def _build_parser():
 
     p = add("cstar", _cmd_cstar, "certified max-min exponent of a poset")
     p.add_argument("poset")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=6000)
 
     p = add("classify", _cmd_classify, "uniform/balanced/general classification")
@@ -416,7 +416,7 @@ def _build_parser():
 
     p = add("table1", _cmd_table1, "recompute the built-in results table")
     p.add_argument("--rows", default=None, help="comma list of row names to include")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--value-tol", type=float, default=1e-4)
 
     p = add("ramsey-bounds", _cmd_ramsey_bounds, "exponent bounds for a pattern pair")

@@ -4,7 +4,9 @@ An order-preserving map of a pattern poset into the subset lattice of
 {1..n} is the same data as an ordered partition of the ground set indexed by
 the pattern's antichains. This module implements both directions of that
 correspondence, the upper-shadow maps it induces on antichains, partitions
-and weightings, and exact copy counting by three independent methods.
+and weightings, and exact copy counting by three independent methods. The
+shadow maps into every subposet at once come from the parent antichain
+family alone (shadow_indices), with no per-subposet enumeration.
 
 Ground subsets are bitmasks over n bits; partitions are tuples of such masks
 aligned with an AntichainFamily (empty antichain last); weightings are numpy
@@ -233,26 +235,67 @@ def shadow_antichain(poset, q_mask, s_mask):
     return out
 
 
+# Subposet rows handled at once by shadow_indices; at the 14-element size cap
+# this keeps each (rows x antichains) temporary to one or two MiB.
+_BLOCK_CELLS = 1 << 18
+
+
+def _above_union(masks, above):
+    """Elementwise union of above[i] over the elements i of each mask."""
+    out = np.zeros_like(masks)
+    for i, up in enumerate(above):
+        out |= (masks >> i & 1) * up
+    return out
+
+
+def shadow_indices(family, q_masks):
+    """Shadow index of every parent antichain in every subposet in q_masks.
+
+    Returns (sigma, counts). Row r of sigma maps each parent antichain to the
+    position of its shadow in the antichain family of the subposet induced on
+    q_masks[r], and counts[r] is that family's length. Both come from the
+    parent family alone: the antichains of the subposet on Q are the parent
+    antichains inside Q in the same order (depth-first lexicographic order
+    survives restriction, and the empty antichain stays last in both), so a
+    shadow's index is its rank among them.
+    """
+    poset = family.poset
+    dtype = np.int32 if poset.n < 32 else np.int64
+    masks = np.array(family.masks, dtype=dtype)
+    upsets = masks | _above_union(masks, poset.above)
+    order = np.argsort(masks)
+    sorted_masks = masks[order]
+    q_masks = np.asarray(q_masks, dtype=dtype)
+    sigma = np.empty((len(q_masks), len(masks)), dtype=np.intp)
+    counts = np.empty(len(q_masks), dtype=np.intp)
+    rows = max(1, _BLOCK_CELLS // len(masks))
+    for start in range(0, len(q_masks), rows):
+        block = slice(start, start + rows)
+        q = q_masks[block, None]
+        reach = upsets & q
+        shadow = reach & ~_above_union(reach, poset.above)
+        parent_pos = order[np.searchsorted(sorted_masks, shadow)]
+        rank = np.cumsum((masks & ~q) == 0, axis=1, dtype=np.int32)
+        sigma[block] = np.take_along_axis(rank, parent_pos, axis=1) - 1
+        counts[block] = rank[:, -1]
+    return sigma, counts
+
+
 class ShadowMap:
-    """Precomputed shadow data for one subposet of a parent family."""
+    """Shadow data for one subposet of a parent family.
+
+    ``sigma`` (from shadow_indices) sends each parent antichain to the index
+    of its shadow within ``subfamily``, the antichains of ``subposet``.
+    """
 
     __slots__ = ("family", "q_mask", "subposet", "subfamily", "sigma")
 
     def __init__(self, family, q_mask):
-        poset = family.poset
         self.family = family
         self.q_mask = q_mask
-        self.subposet = induced_subposet(poset, q_mask)
+        self.subposet = induced_subposet(family.poset, q_mask)
         self.subfamily = antichains(self.subposet)
-        local_bit = {e: k for k, e in enumerate(self.subposet.parent_elements)}
-        sigma = np.empty(len(family), dtype=np.intp)
-        for j, s in enumerate(family.masks):
-            t = shadow_antichain(poset, q_mask, s)
-            local = 0
-            for i in _bits(t):
-                local |= 1 << local_bit[i]
-            sigma[j] = self.subfamily.position(local)
-        self.sigma = sigma
+        self.sigma = shadow_indices(family, [q_mask])[0][0]
 
     def push_weighting(self, alpha):
         """Accumulate a parent weighting onto the subposet's antichains."""

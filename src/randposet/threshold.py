@@ -25,11 +25,10 @@ from .posets import (
     automorphisms,
     connected_components,
     induced_subposet,
-    poset_key,
     reverse_automorphisms,
     _bits,
 )
-from .correspondence import ShadowMap
+from .correspondence import ShadowMap, shadow_indices
 
 DEFAULT_SIZE_CAP = 14
 
@@ -51,59 +50,47 @@ def binary_entropy(x):
 
 
 class ExponentTable:
-    """Precomputed shadow index maps for every nonempty subposet.
+    """Shadow index maps of a poset's antichains into every nonempty subposet.
 
-    Evaluation of all subposet exponents for one weighting is a single
-    weighted bincount over a fixed concatenated index array followed by
-    segmented entropy sums.
+    Row qi of the 2-D array ``index`` sends each parent antichain to its
+    shadow in the subposet ``q_masks[qi]``, numbered within that subposet's
+    antichains and shifted by ``seg_offsets[qi]``. Evaluating every subposet
+    exponent for one weighting is then a single weighted bincount over the
+    flattened array followed by segmented entropy sums.
     """
 
-    __slots__ = (
-        "poset",
-        "family",
-        "q_masks",
-        "sizes",
-        "sigma_list",
-        "big_index",
-        "seg_offsets",
-        "total_len",
-    )
+    __slots__ = ("poset", "family", "q_masks", "sizes", "index", "seg_offsets", "total_len")
 
-    def __init__(self, poset, family, q_masks, sizes, sigma_list, sub_counts):
+    def __init__(self, poset, family, q_masks, sigma, sub_counts):
         self.poset = poset
         self.family = family
         self.q_masks = q_masks
-        self.sizes = np.asarray(sizes, dtype=float)
-        self.sigma_list = sigma_list
+        self.sizes = np.array([q.bit_count() for q in q_masks], dtype=float)
         offsets = np.zeros(len(q_masks) + 1, dtype=np.intp)
         np.cumsum(sub_counts, out=offsets[1:])
         self.seg_offsets = offsets
         self.total_len = int(offsets[-1])
-        big = np.empty(len(family) * len(q_masks), dtype=np.intp)
-        m = len(family)
-        for qi, sigma in enumerate(sigma_list):
-            big[qi * m : (qi + 1) * m] = sigma + offsets[qi]
-        self.big_index = big
+        # Shift in place: at the size cap the table is tens of MiB.
+        sigma += offsets[:-1, None]
+        self.index = sigma
 
     @classmethod
     def build(cls, poset, family=None):
-        """Construct the table from one shadow map per nonempty subposet."""
+        """Construct the table from the parent family through shadow_indices."""
         if family is None:
             family = antichains(poset)
         q_masks = list(range(1, 1 << poset.n))
-        sigma_list, sub_counts = [], []
-        for q in q_masks:
-            shadow = ShadowMap(family, q)
-            sigma_list.append(shadow.sigma)
-            sub_counts.append(len(shadow.subfamily))
-        sizes = [q.bit_count() for q in q_masks]
-        return cls(poset, family, q_masks, sizes, sigma_list, sub_counts)
+        return cls(poset, family, q_masks, *shadow_indices(family, q_masks))
+
+    def sigma(self, q_index):
+        """Shadow index map into one subposet, numbered within its antichains."""
+        return self.index[q_index] - self.seg_offsets[q_index]
 
     def values(self, alpha):
         """Exponent of every nonempty subposet under one weighting."""
         alpha = np.asarray(alpha, dtype=float)
         tiled = np.tile(alpha, len(self.q_masks))
-        beta = np.bincount(self.big_index, weights=tiled, minlength=self.total_len)
+        beta = np.bincount(self.index.ravel(), weights=tiled, minlength=self.total_len)
         terms = -xlogy(beta, beta)
         seg = np.add.reduceat(terms, self.seg_offsets[:-1])
         # reduceat on an empty trailing segment cannot occur: every subposet
@@ -114,31 +101,12 @@ class ExponentTable:
         """The inner minimum over subposets."""
         return float(self.values(alpha).min())
 
-    def gradient(self, alpha, q_index, beta=None):
+    def gradient(self, alpha, q_index):
         """Supergradient of one subposet exponent at alpha."""
-        sigma = self.sigma_list[q_index]
-        if beta is None:
-            beta = np.bincount(
-                sigma,
-                weights=np.asarray(alpha, dtype=float),
-                minlength=self.seg_offsets[q_index + 1] - self.seg_offsets[q_index],
-            )
+        sigma = self.sigma(q_index)
+        beta = np.bincount(sigma, weights=np.asarray(alpha, dtype=float))
         safe = np.maximum(beta, 1e-300)
         return (-np.log(safe[sigma]) - 1.0) / self.sizes[q_index]
-
-
-_TABLE_CACHE = {}
-
-
-def _get_table(poset):
-    """Process-local table cache keyed by the poset's order."""
-    key = poset_key(poset)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        family = antichains(poset)
-        hit = ExponentTable.build(poset, family)
-        _TABLE_CACHE[key] = hit
-    return hit
 
 
 def critical_exponent_wrt(poset, alpha, q_mask, family=None):
@@ -273,10 +241,6 @@ class Classification:
 # -- the optimizer -------------------------------------------------------------
 
 
-def _default_tol(n):
-    return 1e-6 if n <= 8 else 1e-4
-
-
 def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=120):
     """Certified upper bound from supergradients at (a slightly interior) alpha.
 
@@ -352,7 +316,7 @@ def _kkt_solve(table, alpha, support, active, iters=60):
     lam = np.full(k, 1.0 / k)
     nu = 0.0
     t = table.objective(alpha)
-    sigma_s = [table.sigma_list[qi][support] for qi in active]
+    sigma_s = [table.sigma(qi)[support] for qi in active]
     m_q = [
         int(table.seg_offsets[qi + 1] - table.seg_offsets[qi]) for qi in active
     ]
@@ -492,7 +456,7 @@ def classify(poset, family=None, table=None, tol=1e-9):
     if family is None:
         family = antichains(poset)
     if table is None:
-        table = _get_table(poset)
+        table = ExponentTable.build(poset, family)
     m = len(family)
     n = poset.n
     uniform = np.full(m, 1.0 / m)
@@ -530,7 +494,7 @@ def classify(poset, family=None, table=None, tol=1e-9):
 
 def c_star(
     poset,
-    tol=None,
+    tol=1e-6,
     max_iter=6000,
     size_cap=DEFAULT_SIZE_CAP,
     name=None,
@@ -548,8 +512,6 @@ def c_star(
         raise CapacityError(
             "poset has %d elements, above the subposet-scan cap %d" % (poset.n, size_cap)
         )
-    if tol is None:
-        tol = _default_tol(poset.n)
     if name is None:
         name = "poset(n=%d)" % poset.n
     comps = connected_components(poset)
@@ -557,7 +519,7 @@ def c_star(
         return _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name)
 
     family = antichains(poset)
-    table = _get_table(poset)
+    table = ExponentTable.build(poset, family)
     m = len(family)
     orbit = _orbit_labels(antichain_symmetry_group(poset, family))
     notes = []
@@ -664,7 +626,7 @@ def c_star(
 def _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name):
     """Component decomposition: the exponent is the minimum over components."""
     family = antichains(poset)
-    table = _get_table(poset)
+    table = ExponentTable.build(poset, family)
     reports = []
     for comp in comps:
         sub = induced_subposet(poset, comp)
@@ -678,23 +640,11 @@ def _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name):
             )
         )
     # Product certificate: weight of an antichain is the product of its
-    # component restrictions' weights.
-    comp_data = []
-    for comp, rep in zip(comps, reports):
-        sub = induced_subposet(poset, comp)
-        sub_family = antichains(sub)
-        local_bit = {e: k for k, e in enumerate(sub.parent_elements)}
-        cert = np.asarray(rep.certificate)
-        comp_data.append((comp, local_bit, sub_family, cert))
-    alpha = np.empty(len(family))
-    for j, s in enumerate(family.masks):
-        w = 1.0
-        for comp, local_bit, sub_family, cert in comp_data:
-            local = 0
-            for i in _bits(s & comp):
-                local |= 1 << local_bit[i]
-            w *= cert[sub_family.position(local)]
-        alpha[j] = w
+    # component restrictions' weights. An antichain's shadow in a component
+    # is its restriction there, since no order relation crosses components.
+    alpha = np.ones(len(family))
+    for rep, sigma in zip(reports, shadow_indices(family, comps)[0]):
+        alpha *= np.asarray(rep.certificate)[sigma]
     alpha = np.maximum(alpha, 0)
     alpha /= alpha.sum()
     vals = table.values(alpha)
@@ -811,11 +761,13 @@ def bounded_upper_bound(poset, family=None):
     bot, top = mins[0], maxs[0]
     need = (1 << bot) | (1 << top)
     rest = poset.full_mask() & ~need
+    masks = np.array(family.masks)
     terms = []
     sub = rest
     while True:
         q = need | sub
-        a_q = len(antichains(induced_subposet(poset, q)))
+        # The antichains of the subposet on q are the parent antichains inside q.
+        a_q = int(np.count_nonzero((masks & ~q) == 0))
         terms.append((q.bit_count(), a_q))
         if sub == 0:
             break
@@ -837,7 +789,8 @@ def bounded_upper_bound(poset, family=None):
     hi = 0.5
     res = minimize_scalar(lambda x: -phi(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
     candidates = [phi(lo), phi(hi), -float(res.fun)]
-    return max(candidates)
+    # A plain float, so that c_star's converged flag is a bool JSON can hold.
+    return float(max(candidates))
 
 
 def universality_band(n_elements, b=1.0):

@@ -78,6 +78,20 @@ def test_cstar_text_output(capsys):
     assert "bracket [" in out
 
 
+def test_cstar_default_tolerance_above_eight_elements(capsys):
+    code, out, _ = run(capsys, "cstar", "chain:9", "--json")
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-6
+
+
+def test_cstar_json_on_chains(capsys):
+    # The bounded upper bound decides these brackets; it must stay a plain float.
+    for spec in ("chain:2", "chain:3", "chain:4"):
+        code, out, _ = run(capsys, "cstar", spec, "--json")
+        assert code == 0
+        assert json.loads(out)["converged"] is True
+
+
 def test_classify_text_and_json(capsys):
     code, out, _ = run(capsys, "classify", "chain:2")
     assert code == 0

@@ -19,6 +19,7 @@ from randposet.correspondence import (
     nearest_composition,
     partition_of_copy,
     shadow_antichain,
+    shadow_indices,
     shadow_partition,
     shadow_weighting,
     starred_count,
@@ -29,11 +30,13 @@ from randposet.posets import (
     PosetError,
     antichains,
     boolean_lattice,
+    catalog,
     chain,
     induced_subposet,
     vee,
     wedge,
 )
+from randposet.threshold import ExponentTable
 
 
 def all_partitions(family, n):
@@ -249,6 +252,51 @@ def test_shadow_commutes_with_the_dictionary(seed):
     sub = induced_subposet(poset, q)
     direct = partition_of_copy(antichains(sub), copy.restrict(q))
     assert pushed == direct
+
+
+def reference_shadow_maps(poset, family):
+    """Per subposet Q: each parent antichain's shadow index and the family length.
+
+    Built the long way, independently of shadow_indices: enumerate the
+    antichains of the induced subposet on Q, and look up each shadow there.
+    """
+    out = []
+    for q in range(1, 1 << poset.n):
+        sub = induced_subposet(poset, q)
+        subfamily = antichains(sub)
+        sigma = []
+        for s in family.masks:
+            shadow = shadow_antichain(poset, q, s)
+            local = sum(1 << k for k, e in enumerate(sub.parent_elements) if shadow >> e & 1)
+            sigma.append(subfamily.position(local))
+        out.append((sigma, len(subfamily)))
+    return out
+
+
+def check_shadow_tables(poset):
+    family = antichains(poset)
+    reference = reference_shadow_maps(poset, family)
+    sigma, counts = shadow_indices(family, range(1, 1 << poset.n))
+    assert [row.tolist() for row in sigma] == [want for want, _ in reference]
+    assert counts.tolist() == [count for _, count in reference]
+    table = ExponentTable.build(poset, family)
+    for qi, (want, count) in enumerate(reference):
+        assert table.sigma(qi).tolist() == want
+        assert table.seg_offsets[qi + 1] - table.seg_offsets[qi] == count
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_shadow_indices_match_the_subposet_families(seed):
+    rng = random.Random(seed)
+    check_shadow_tables(random_poset(rng, rng.randrange(1, 8)))
+
+
+@pytest.mark.parametrize("spec", ["blowup:2,4", "y''", "layered:1,2,1,2,1"])
+def test_shadow_indices_on_catalog_posets(spec, monkeypatch):
+    # Blocks of a few subposet rows, so that rows straddle block boundaries.
+    monkeypatch.setattr("randposet.correspondence._BLOCK_CELLS", 100)
+    check_shadow_tables(catalog(spec))
 
 
 # -- exact counting ------------------------------------------------------------

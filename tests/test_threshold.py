@@ -212,6 +212,13 @@ def test_cstar_blowup_three_layers_of_four():
     assert rep.value == pytest.approx(blowup_bounds(3, 4)[1], abs=1e-9)
 
 
+def test_cstar_default_tolerance_is_one_per_million_at_every_size():
+    rep = c_star(catalog("y''"))
+    assert rep.tolerance == 1e-6
+    assert rep.converged
+    assert rep.upper_bound - rep.lower_bound <= 1e-6
+
+
 def test_objective_concavity():
     rng = random.Random(3)
     for p in (boolean_lattice(2), vee(), double_diamond()):
