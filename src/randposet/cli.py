@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -331,12 +332,21 @@ def _cmd_sat_solve(args):
     return EXIT_UNCONVERGED if res.status == "unknown" else EXIT_OK
 
 
+def _number(text, flag):
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError("%s expects numbers, got %r" % (flag, text)) from None
+
+
 def _parse_grid(args):
     if args.c_grid:
         parts = args.c_grid.split(":")
         if len(parts) != 3:
             raise UsageError("--c-grid expects LO:HI:STEP")
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = (_number(p, "--c-grid") for p in parts)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise UsageError("--c-grid expects finite numbers")
         if step <= 0 or hi < lo:
             raise UsageError("--c-grid expects LO <= HI and STEP > 0")
         grid = []
@@ -349,7 +359,7 @@ def _parse_grid(args):
             k += 1
         return grid
     if args.c:
-        return [float(p) for p in args.c.split(",")]
+        return [_number(p, "--c") for p in args.c.split(",")]
     raise UsageError("need --c-grid or --c")
 
 

@@ -3,11 +3,10 @@
 A random family keeps each subset of an n-element ground set independently
 with probability exp(-c*n). Sampling draws the kept-count from the matching
 binomial and then that many distinct uniform words, which is
-distribution-identical and avoids touching all 2^n subsets. Containment of
-a pattern in the sampled family uses popcount-sorted fast paths for chains
-and stars and the generic embedding search otherwise, and sweeps over a
-grid of exponents chart the empirical probability curve around the
-threshold.
+distribution-identical and avoids touching all 2^n subsets. One
+backtracking search over the popcount-sorted words finds a copy of a
+pattern in the sampled family, and sweeps over a grid of exponents chart
+the empirical probability curve around the threshold.
 """
 
 from __future__ import annotations
@@ -19,20 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .posets import (
-    CapacityError,
-    Poset,
-    PosetError,
-    antichains,
-    chain,
-    is_isomorphic,
-    layered,
-    reverse,
-)
+from .posets import CapacityError, PosetError, antichains
 from .correspondence import CopyMap, partition_of_copy
 
 DEFAULT_BUDGET = 10 ** 7
-GENERAL_SIZE_CAP = 10 ** 4
 
 
 @dataclass
@@ -56,6 +45,8 @@ def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
     """
     if n < 0 or n > 62:
         raise PosetError("dimension must be between 0 and 62")
+    if not 0 <= c < math.inf:
+        raise PosetError("exponent must be a finite number >= 0, got %r" % (c,))
     if rng is None:
         rng = np.random.default_rng(seed)
     total = 1 << n
@@ -78,125 +69,57 @@ def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
     return Sample(n=n, c=c, words=words, seed=seed)
 
 
-def _chain_height(pattern):
-    """Length t when the pattern is a t-chain, else None."""
-    if is_isomorphic(pattern, chain(pattern.n)):
-        return pattern.n
-    return None
+def find_pattern(sample, pattern, induced=False):
+    """Words forming a copy of the pattern, aligned to pattern elements, or None.
 
-
-def _star_leaves(pattern):
-    """Leaf count t for an upward star (one minimum below t incomparable tops)."""
-    t = pattern.n - 1
-    if t >= 2 and is_isomorphic(pattern, layered([1, t])):
-        return t
-    return None
-
-
-def _find_chain(words, t):
-    """Indices of an ascending t-chain among popcount-sorted words, or None."""
-    k = words.size
-    if t <= 0:
-        return ()
-    if k < t:
+    One backtracking search over the popcount-sorted words. The pattern's
+    elements are placed in a linear extension (by down-set size), and each
+    element's candidates are the words that one numpy mask admits against
+    the images already placed: strict supersets of the images below it, and
+    words distinct from (incomparable with, when induced) the others. A
+    strict superset of a word with popcount r has popcount above r, so only
+    the tail of words past that popcount is tested.
+    """
+    n = pattern.n
+    if sample.words.size < n:
         return None
-    pc = np.bitwise_count(words)
-    order = np.lexsort((words, pc))
-    w = words[order]
-    pcs = pc[order]
-    best = np.ones(k, dtype=np.int64)
-    parent = np.full(k, -1, dtype=np.int64)
-    for i in range(1, k):
-        limit = int(np.searchsorted(pcs, pcs[i]))
-        if limit == 0:
-            continue
-        below = np.nonzero((w[:limit] & ~w[i]) == 0)[0]
-        if below.size == 0:
-            continue
-        j = below[np.argmax(best[below])]
-        best[i] = best[j] + 1
-        parent[i] = j
-        if best[i] >= t:
-            path = []
-            v = i
-            while v >= 0:
-                path.append(int(order[v]))
-                v = int(parent[v])
-            return tuple(reversed(path))[-t:]
-    if t == 1 and k >= 1:
-        return (0,)
-    return None
+    pc = np.bitwise_count(sample.words)
+    order = np.argsort(pc, kind="stable")
+    words = sample.words[order]
+    # starts[r] is the first position of a word with popcount at least r.
+    starts = np.searchsorted(pc[order], np.arange(sample.n + 2)).tolist()
+    elems = sorted(range(n), key=lambda i: pattern.below[i].bit_count())
+    image = [0] * n
+
+    def place(d):
+        if d == n:
+            return True
+        u = elems[d]
+        placed = elems[:d]
+        r = max((image[j].bit_count() + 1 for j in placed if pattern.lt(j, u)), default=0)
+        tail = words[starts[r]:]
+        keep = None
+        for j in placed:
+            x = image[j]
+            if pattern.lt(j, u):
+                m = (tail & x) == x
+            elif induced:
+                m = ((tail & x) != x) & ((tail | x) != x)
+            else:
+                m = tail != x
+            keep = m if keep is None else keep & m
+        for w in (tail if keep is None else tail[keep]).tolist():
+            image[u] = w
+            if place(d + 1):
+                return True
+        return False
+
+    return tuple(image) if place(0) else None
 
 
-def _find_star(words, t, flipped):
-    """Indices of a centre plus t strict supersets (or subsets when flipped)."""
-    k = words.size
-    if k < t + 1:
-        return None
-    for i in range(k):
-        centre = words[i]
-        if flipped:
-            hits = np.nonzero((words & centre) == words)[0]
-        else:
-            hits = np.nonzero((words & centre) == centre)[0]
-        hits = hits[hits != i]
-        if hits.size >= t:
-            return (i,) + tuple(int(h) for h in hits[:t])
-    return None
-
-
-def _sample_poset(words):
-    """The induced containment order on the sampled words."""
-    k = int(words.size)
-    relations = []
-    for i in range(k):
-        sup = np.nonzero(((words & words[i]) == words[i]) & (words != words[i]))[0]
-        relations.extend((i, int(j)) for j in sup)
-    return Poset(k, relations)
-
-
-def find_pattern(sample, pattern, induced=False, cap=GENERAL_SIZE_CAP):
-    """Words forming a copy of the pattern, aligned to pattern elements, or None."""
-    words = sample.words
-    k = int(words.size)
-    if pattern.n == 0:
-        return ()
-    if k < pattern.n:
-        return None
-    if not induced:
-        t = _chain_height(pattern)
-        if t is not None:
-            idx = _find_chain(words, t)
-            if idx is None:
-                return None
-            # The chain element with r elements below it sits r steps up the path.
-            return tuple(int(words[idx[pattern.below[i].bit_count()]]) for i in range(pattern.n))
-        for flipped in (False, True):
-            t = _star_leaves(reverse(pattern) if flipped else pattern)
-            if t is None:
-                continue
-            idx = _find_star(words, t, flipped=flipped)
-            if idx is None:
-                return None
-            # The unique minimum (maximum when flipped) is the centre; the
-            # other elements take the found leaves in index order.
-            centre = (pattern.maximal_elements() if flipped else pattern.minimal_elements())[0]
-            leaves = iter(idx[1:])
-            return tuple(int(words[idx[0] if i == centre else next(leaves)]) for i in range(pattern.n))
-    if k > cap:
-        raise CapacityError("sample too large (%d > %d) for the generic search" % (k, cap))
-    from .posets import contains_copy
-
-    host = _sample_poset(words)
-    hit = contains_copy(host, pattern, induced=induced)
-    if hit is None:
-        return None
-    return tuple(int(words[v]) for v in hit)
-
-
-def contains_pattern(sample, pattern, induced=False, cap=GENERAL_SIZE_CAP):
+def contains_pattern(sample, pattern, induced=False):
     """Whether the sampled family contains a copy of the pattern."""
-    return find_pattern(sample, pattern, induced=induced, cap=cap) is not None
+    return find_pattern(sample, pattern, induced=induced) is not None
 
 
 def copy_weighting(pattern, n, image_words):
@@ -254,6 +177,8 @@ def sweep(
     partition map and its weighting stored for comparison with optimizer
     certificates.
     """
+    if trials < 0:
+        raise PosetError("trials must be >= 0, got %d" % trials)
     grid = sorted(float(c) for c in c_values)
     report = SweepReport(pattern_name=pattern_name or repr(pattern), n=n)
     for cell, c in enumerate(grid):

@@ -33,6 +33,7 @@ from randposet.posets import (
     chain,
     disjoint_union,
     double_diamond,
+    fish,
     induced_subposet,
     layered,
     vee,
@@ -321,15 +322,24 @@ def test_criterion_08_extended_dimension_six():
 
 
 def test_criterion_09():
-    """Sampled appearance probabilities flip across the threshold at n=40."""
+    """Sampled appearance probabilities flip across the threshold at n=40.
+
+    Each case is (pattern, lower, upper, trials), with c* in [lower, upper];
+    the fish's c* is known only to its catalogued bracket.
+    """
     t0 = time.monotonic()
-    cases = [(chain(2), 0.5493061443), (vee(), 0.5357388657)]
-    for pattern, c_value in cases:
+    cases = [
+        (chain(2), 0.5493061443, 0.5493061443, 30),
+        (vee(), 0.5357388657, 0.5357388657, 30),
+        (boolean_lattice(2), 0.4476995514, 0.4476995514, 10),
+        (fish(), 0.43238626, 0.43984289, 10),
+    ]
+    for pattern, lower, upper, trials in cases:
         rep = sweep(
             pattern,
             40,
-            [c_value - 0.1, c_value + 0.1],
-            trials=30,
+            [lower - 0.1, upper + 0.1],
+            trials=trials,
             seed=20240815,
         )
         below, above = rep.rows

@@ -273,3 +273,29 @@ def test_simulate_json_output(capsys):
     record = json.loads(out)
     assert record["pattern"] == "chain:2"
     assert record["rows"][0]["trials"] == 2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--c", "-0.1"],
+        ["--c", "nan"],
+        ["--c", "abc"],
+        ["--c", "0.3,x"],
+        ["--c-grid", "0.1:abc:0.1"],
+        ["--c-grid", "nan:1:0.1"],
+    ],
+)
+def test_simulate_rejects_bad_exponents(capsys, grid):
+    code, out, err = run(capsys, "simulate", "--pattern", "v", "--n", "8", "--trials", "2", *grid)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "simulate", "--pattern", "v", "--n", "8", "--c", "0.3",
+                         "--trials", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "trials" in err

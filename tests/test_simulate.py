@@ -1,10 +1,13 @@
 """Unit tests for the random family sampler and the containment sweep."""
 
+import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randposet.posets import (
     CapacityError,
@@ -33,15 +36,28 @@ def hand_sample(words, n=8):
     return Sample(n=n, c=0.0, words=np.array(sorted(words), dtype=np.uint64))
 
 
-def is_weak_image(pattern, image):
-    """The found words honour every pattern relation as strict containment."""
-    for i in range(pattern.n):
-        for j in range(pattern.n):
-            if pattern.lt(i, j):
-                a, b = image[i], image[j]
-                if a == b or a & ~b:
-                    return False
+def is_embedding(pattern, image, induced=False):
+    """Distinct words that keep every pattern relation as containment and,
+    when induced, have no other containment."""
+    if len(set(image)) != pattern.n:
+        return False
+    for i, j in itertools.permutations(range(pattern.n), 2):
+        contained = image[i] & ~image[j] == 0
+        if pattern.lt(i, j) and not contained:
+            return False
+        if induced and contained and not pattern.lt(i, j):
+            return False
     return True
+
+
+@st.composite
+def patterns(draw, max_size=4):
+    """Posets with at most max_size elements whose relations run up a random
+    labelling, so the elements need not be listed in a linear extension."""
+    n = draw(st.integers(0, max_size))
+    labels = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max_size - 1), st.integers(0, max_size - 1))))
+    return Poset(n, [(labels[a], labels[b]) for a, b in pairs if a < b < n])
 
 
 # -- sampling -----------------------------------------------------------------
@@ -69,6 +85,9 @@ def test_sample_at_zero_exponent_keeps_everything():
 def test_sample_guards():
     with pytest.raises(PosetError):
         sample_pnp(63, 0.5)
+    for c in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(PosetError):
+            sample_pnp(8, c)
     with pytest.raises(CapacityError):
         sample_pnp(30, 0.0, budget=10 ** 6)
 
@@ -101,7 +120,7 @@ def test_find_chain_fast_path():
 def test_find_chain_among_decoys():
     s = hand_sample([0b1, 0b110, 0b111, 0b1111])
     image = find_pattern(s, chain(3))
-    assert image is not None and is_weak_image(chain(3), image)
+    assert image is not None and is_embedding(chain(3), image)
     assert find_pattern(s, chain(4)) is None
 
 
@@ -110,7 +129,7 @@ def test_find_bottom_star_fast_path():
     image = find_pattern(s, layered([1, 2]))
     assert image is not None
     assert image[0] == 1
-    assert is_weak_image(layered([1, 2]), image)
+    assert is_embedding(layered([1, 2]), image)
     assert find_pattern(hand_sample([0b001, 0b011]), layered([1, 2])) is None
 
 
@@ -119,14 +138,14 @@ def test_find_top_star_fast_path():
     image = find_pattern(s, layered([2, 1]))
     assert image is not None
     assert image[2] == 7
-    assert is_weak_image(layered([2, 1]), image)
+    assert is_embedding(layered([2, 1]), image)
 
 
 def test_find_general_pattern():
     s = hand_sample([0b001, 0b011, 0b101, 0b111])
     image = find_pattern(s, boolean_lattice(2))
     assert image is not None
-    assert is_weak_image(boolean_lattice(2), image)
+    assert is_embedding(boolean_lattice(2), image)
     assert contains_pattern(s, boolean_lattice(2))
     assert not contains_pattern(hand_sample([1, 2, 4, 8]), boolean_lattice(2))
 
@@ -147,7 +166,7 @@ def test_fast_paths_align_relabelled_patterns():
         pattern = parse_dsl(text)
         for s in samples:
             image = find_pattern(s, pattern)
-            assert image is not None and is_weak_image(pattern, image)
+            assert image is not None and is_embedding(pattern, image)
             w = copy_weighting(pattern, s.n, image)
             assert sum(w) == pytest.approx(1.0)
             host = Poset(
@@ -158,10 +177,30 @@ def test_fast_paths_align_relabelled_patterns():
             assert contains_copy(host, pattern) is not None
 
 
-def test_find_pattern_capacity_guard():
-    s = hand_sample([1, 3, 5, 7, 9])
-    with pytest.raises(CapacityError):
-        find_pattern(s, boolean_lattice(2), cap=3)
+@settings(max_examples=80, deadline=None)
+@given(patterns(), st.sets(st.integers(min_value=0, max_value=31), max_size=16), st.booleans())
+def test_find_pattern_agrees_with_brute_force(pattern, words, induced):
+    sample = hand_sample(words, n=5)
+    expected = any(
+        is_embedding(pattern, image, induced)
+        for image in itertools.permutations(sorted(words), pattern.n)
+    )
+    image = find_pattern(sample, pattern, induced=induced)
+    assert (image is not None) == expected
+    if image is not None:
+        assert set(image) <= set(words)
+        assert is_embedding(pattern, image, induced)
+
+
+def test_find_induced_pattern_in_a_mid_size_sample():
+    # An induced copy in an 83-word sample, found without building the
+    # sample's containment order.
+    pattern = Poset(5, [(0, 1), (0, 2), (0, 4), (3, 4)])
+    sample = sample_pnp(9, 0.2, seed=3)
+    started = time.monotonic()
+    image = find_pattern(sample, pattern, induced=True)
+    assert time.monotonic() - started < 5.0
+    assert image is not None and is_embedding(pattern, image, induced=True)
 
 
 def test_find_pattern_small_sample_shortcut():
@@ -222,7 +261,7 @@ def test_sweep_records_weightings():
     for rec in records:
         assert set(rec) == {"c", "trial", "image", "weighting"}
         assert sum(rec["weighting"]) == pytest.approx(1.0)
-        assert is_weak_image(chain(2), rec["image"])
+        assert is_embedding(chain(2), rec["image"])
 
 
 def test_sweep_default_name_and_json_keys():
