@@ -340,11 +340,6 @@ def starred_count(m, n):
     return surjection_count(n, m)
 
 
-def _check_mode(mode):
-    if mode not in _MODES:
-        raise PosetError("mode must be one of %s" % (_MODES,))
-
-
 def count_copies(pattern, n, mode="injective", method="grouped", cap=10 ** 8, family=None):
     """Count order-preserving maps of a pattern into subsets of {1..n}.
 
@@ -355,12 +350,15 @@ def count_copies(pattern, n, mode="injective", method="grouped", cap=10 ** 8, fa
     empty-part patterns once and multiplies by surjection counts, "scan"
     enumerates every partition, "backtrack" embeds directly.
     """
-    _check_mode(mode)
+    if mode not in _MODES:
+        raise PosetError("mode must be one of %s" % (_MODES,))
+    if n < 0:
+        raise PosetError("ground set size must be >= 0, got %d" % n)
     if family is None:
         family = antichains(pattern)
     m = len(family)
     if method == "grouped":
-        return _count_grouped(pattern, family, n, mode, cap)
+        return _count_grouped(pattern, family, n, mode)
     if method == "scan":
         if m ** n > cap:
             raise CapacityError("partition scan of size %d^%d exceeds cap" % (m, n))
@@ -373,7 +371,7 @@ def count_copies(pattern, n, mode="injective", method="grouped", cap=10 ** 8, fa
     raise PosetError("unknown method %r" % method)
 
 
-def _count_grouped(pattern, family, n, mode, cap):
+def _count_grouped(pattern, family, n, mode):
     """Copy count via empty-part pattern classification."""
     m = len(family)
     if m > 26:
@@ -487,21 +485,70 @@ def _count_backtrack(pattern, n, mode):
     return rec(0)
 
 
-def iter_copy_images(pattern, n, mode, cap=10 ** 9, family=None):
-    """Yield the image subset tuple of every copy found by the partition scan.
+# Cells (partial copies x candidate words) in one mask of copy_blocks.
+_COPY_CELLS = 1 << 16
 
-    Tuples are sorted; the same image set may appear several times when the
-    pattern has automorphisms. Guard: m^n must not exceed cap.
+
+def copy_blocks(words, pattern, induced=False):
+    """Yield, in blocks, the copies of a pattern in an array of distinct words.
+
+    A copy maps the pattern's elements to distinct words, x < y to a strict
+    subset and, when induced, incomparable elements to incomparable words.
+    Each block holds one row per copy: indices into ``words``, columns
+    aligned to pattern elements, rows in lexicographic order of placement.
+    The search places the elements depth first, in a linear extension by
+    down-set size, over the popcount-sorted words. One block size doubles
+    from a single row across the whole search up to _COPY_CELLS cells, so
+    the first copy costs about what a row-at-a-time search costs.
     """
-    _check_mode(mode)
-    if family is None:
-        family = antichains(pattern)
-    m = len(family)
-    if m ** n > cap:
-        raise CapacityError("partition scan of size %d^%d exceeds cap" % (m, n))
-    for images, keep in _scan_partitions(pattern, family, n, mode):
-        for row in images[keep]:
-            yield tuple(sorted(int(v) for v in row))
+    pc = np.bitwise_count(words)
+    order = np.argsort(pc, kind="stable").astype(np.int32 if len(words) < 2 ** 31 else np.int64)
+    words, pc = words[order], pc[order]
+    # starts[r] is the first position of a word with popcount at least r.
+    starts = np.searchsorted(pc, np.arange(8 * words.itemsize + 2))
+    elems = sorted(range(pattern.n), key=lambda i: pattern.below[i].bit_count())
+    # A word fits a step when it is a strict superset of the lower covers'
+    # images (so past their largest popcount) and differs from, or when
+    # induced is incomparable with, the other placed images; none is above.
+    steps = []
+    for d, u in enumerate(elems):
+        below = [c for c in range(d) if pattern.lt(elems[c], u)]
+        covers = [c for c in below if not pattern.above[elems[c]] & pattern.below[u]]
+        steps.append((covers, [c for c in range(d) if c not in below]))
+    block_rows = 1
+
+    def extend(rows, d):
+        nonlocal block_rows
+        if d == pattern.n:
+            yield order[rows[:, np.argsort(elems)]]
+            return
+        covers, others = steps[d]
+        # Each row's largest lower-cover popcount, -1 without covers.
+        top = pc[rows[:, covers]].astype(np.int16).max(axis=1, initial=-1)
+        widest = len(words) - int(starts[top.min() + 1])
+        while len(rows):
+            take = max(1, min(block_rows, _COPY_CELLS // max(widest, 1)))
+            chunk, chunk_top, rows, top = rows[:take], top[:take, None], rows[take:], top[take:]
+            block_rows = min(2 * block_rows, _COPY_CELLS)
+            lo = int(starts[chunk_top.min() + 1])
+            tail = words[lo:]
+            mask = pc[lo:] > chunk_top
+            for c in covers:
+                x = words[chunk[:, c]][:, None]
+                mask &= (tail & x) == x
+            for c in others:
+                x = words[chunk[:, c]][:, None]
+                mask &= ((tail & x) != x) & ((tail | x) != x) if induced else tail != x
+            hit_row, hit_col = np.nonzero(mask)
+            grown = np.column_stack((chunk[hit_row], (hit_col + lo).astype(order.dtype)))
+            del mask, hit_row, hit_col
+            if len(grown):
+                yield from extend(grown, d + 1)
+
+    try:
+        yield from extend(np.empty((1, 0), dtype=order.dtype), 0)
+    finally:
+        del extend  # break extend's reference to itself, so the arrays free at once
 
 
 # -- weighted partition counting ---------------------------------------------

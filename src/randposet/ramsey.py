@@ -2,12 +2,12 @@
 
 A host poset arrows a pattern pair when every red/blue colouring of its
 elements leaves a red copy of the first pattern or a blue copy of the
-second (weak subposet copies by default). This module reduces every arrow
-question to a CNF over one variable per host element, with one clause per
-copy of a pattern, solved by an embedded DPLL solver; it also encodes
-monochromatic-copy avoidance in subset lattices the same way and bounds the
-Ramsey threshold exponents via product and tower constructions plus a
-catalog of known pairs.
+second (weak subposet copies by default). Each arrow question becomes a CNF
+over one variable per host element, one clause per copy that
+correspondence.copy_blocks finds among the host's down-set masks, solved by
+an embedded DPLL solver. Avoidance in subset lattices is encoded the same
+way, and Ramsey threshold exponents are bounded via product and tower
+constructions plus a catalog of known pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .posets import (
     CapacityError,
@@ -41,10 +43,11 @@ from .posets import (
     diamond,
     _embeddings,
 )
-from .correspondence import iter_copy_images
+from .correspondence import copy_blocks
 from . import threshold
 
 ARROW_SIZE_CAP = 24
+# Bound on m^d, which bounds the copies in a d-cube of a pattern with m antichains.
 SCAN_GUARD = 10 ** 9
 
 
@@ -58,12 +61,21 @@ def _family(patterns):
     return out
 
 
-def _decide_arrow(host, firsts, seconds, induced):
-    """Solve the pair-avoidance CNF: (True, None) or (False, witness colouring)."""
-    res = solve_cnf(_pair_avoidance_cnf(host, firsts, seconds, induced))
+def _decide_arrow(words, firsts, seconds, induced):
+    """Decide an arrow through the avoidance CNF of the host with elements words.
+
+    One clause per copy: no first-family copy all in colour 1, no second one
+    all in colour 2. Returns (True, None) or (False, witness colouring).
+    """
+    clauses, provenance = [], []
+    for sign, patterns in ((-1, firsts), (1, seconds)):
+        for image in _copy_images(words, patterns, induced):
+            clauses.append(tuple(sign * (v + 1) for v in image))
+            provenance.append(image)
+    res = solve_cnf(CnfFormula(len(words), clauses, provenance))
     if res.status == "unsat":
         return True, None
-    return False, assignment_to_colouring(res.assignment, host.n)
+    return False, assignment_to_colouring(res.assignment, len(words))
 
 
 def arrows(host, first, second, induced=False):
@@ -80,7 +92,8 @@ def arrows(host, first, second, induced=False):
     seconds = _family(second)
     if host.n > ARROW_SIZE_CAP:
         raise CapacityError("host has %d elements, above the arrow cap %d" % (host.n, ARROW_SIZE_CAP))
-    return _decide_arrow(host, firsts, seconds, induced)
+    words = np.array([host.down_mask(i) for i in range(host.n)], dtype=np.int64)
+    return _decide_arrow(words, firsts, seconds, induced)
 
 
 def verify_colouring(host, colouring, first, second, induced=False):
@@ -116,7 +129,7 @@ def ramsey_number(first, second, n_max=4, induced=False):
     firsts = _family(first)
     seconds = _family(second)
     for dim in range(1, n_max + 1):
-        if _decide_arrow(boolean_lattice(dim), firsts, seconds, induced)[0]:
+        if _decide_arrow(np.arange(1 << dim), firsts, seconds, induced)[0]:
             return dim
     return None
 
@@ -128,14 +141,23 @@ def _boolean_dimension(host):
     """The dimension d when the host is the subset lattice in mask order."""
     n = host.n
     d = n.bit_length() - 1
-    if n != 1 << d:
+    if n < 1 or n != 1 << d:
         raise PosetError("host is not a subset lattice (size is not a power of two)")
     if host != boolean_lattice(d):
         raise PosetError("host is not the subset lattice in mask order")
     return d
 
 
-def enumerate_pattern_copies(host, pattern, mode="all-weak", cap=SCAN_GUARD):
+def _copy_images(words, patterns, induced):
+    """Sorted distinct sorted index tuples of the copies of any pattern among words."""
+    images = set()
+    for pat in patterns:
+        for block in copy_blocks(words, pat, induced):
+            images.update(map(tuple, np.sort(block, axis=1).tolist()))
+    return sorted(images)
+
+
+def enumerate_pattern_copies(host, pattern, mode="all-weak"):
     """All copies of a pattern in a subset-lattice host, as sorted image tuples.
 
     Modes: "all-weak" (injective order-preserving images), "all-induced"
@@ -169,26 +191,20 @@ def enumerate_pattern_copies(host, pattern, mode="all-weak", cap=SCAN_GUARD):
                     sub = (sub - 1) & free_mask
                 images.add(tuple(sorted(image)))
         return sorted(images)
-    if mode == "all-weak":
-        scan_mode = "injective"
-    elif mode == "all-induced":
-        scan_mode = "induced"
-    else:
+    if mode not in ("all-weak", "all-induced"):
         raise PosetError("mode must be subcube, all-weak or all-induced")
-    family = antichains(pattern)
-    if len(family) ** d > cap:
-        raise CapacityError(
-            "enumeration over %d^%d partitions exceeds the guard" % (len(family), d)
-        )
-    images = set(iter_copy_images(pattern, d, scan_mode, cap=cap, family=family))
-    return sorted(images)
+    m = len(antichains(pattern))
+    if m ** d > SCAN_GUARD:
+        raise CapacityError("enumeration over %d^%d partitions exceeds the guard" % (m, d))
+    return _copy_images(np.arange(1 << d), [pattern], mode == "all-induced")
 
 
 def count_pattern_copies_direct(host, pattern, mode="all-weak"):
     """Independent copy count by backtracking embeddings, deduplicated."""
     if mode not in ("all-weak", "all-induced"):
         raise PosetError("mode must be all-weak or all-induced")
-    return len(_all_copy_images(host, [pattern], mode == "all-induced"))
+    found = _embeddings(pattern, host, induced=mode == "all-induced", find_all=True)
+    return len({tuple(sorted(t)) for t in found})
 
 
 # -- CNF machinery --------------------------------------------------------------
@@ -263,28 +279,6 @@ def encode_avoidance(host, pattern, mode="all-weak"):
         provenance.append(tag)
         clauses.append(tuple(v + 1 for v in image))
         provenance.append(tag)
-    return CnfFormula(host.n, clauses, provenance)
-
-
-def _all_copy_images(host, patterns, induced):
-    """Deduplicated copy images of any family member in an arbitrary host."""
-    images = set()
-    for pat in patterns:
-        for t in _embeddings(pat, host, induced=induced, find_all=True):
-            images.add(tuple(sorted(t)))
-    return sorted(images)
-
-
-def _pair_avoidance_cnf(host, firsts, seconds, induced):
-    """CNF for avoiding first-family copies in colour 1 and second in colour 2."""
-    clauses = []
-    provenance = []
-    for image in _all_copy_images(host, firsts, induced):
-        clauses.append(tuple(-(v + 1) for v in image))
-        provenance.append(tuple(image))
-    for image in _all_copy_images(host, seconds, induced):
-        clauses.append(tuple(v + 1 for v in image))
-        provenance.append(tuple(image))
     return CnfFormula(host.n, clauses, provenance)
 
 

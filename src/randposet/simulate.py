@@ -3,10 +3,10 @@
 A random family keeps each subset of an n-element ground set independently
 with probability exp(-c*n). Sampling draws the kept-count from the matching
 binomial and then that many distinct uniform words, which is
-distribution-identical and avoids touching all 2^n subsets. One
-backtracking search over the popcount-sorted words finds a copy of a
-pattern in the sampled family, and sweeps over a grid of exponents chart
-the empirical probability curve around the threshold.
+distribution-identical and avoids touching all 2^n subsets. The first
+copy of a pattern that correspondence.copy_blocks finds in the sampled
+words decides containment, and sweeps over a grid of exponents chart the
+empirical probability curve around the threshold.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .posets import CapacityError, PosetError, antichains
-from .correspondence import CopyMap, partition_of_copy
+from .correspondence import CopyMap, copy_blocks, partition_of_copy
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -72,49 +72,10 @@ def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
 def find_pattern(sample, pattern, induced=False):
     """Words forming a copy of the pattern, aligned to pattern elements, or None.
 
-    One backtracking search over the popcount-sorted words. The pattern's
-    elements are placed in a linear extension (by down-set size), and each
-    element's candidates are the words that one numpy mask admits against
-    the images already placed: strict supersets of the images below it, and
-    words distinct from (incomparable with, when induced) the others. A
-    strict superset of a word with popcount r has popcount above r, so only
-    the tail of words past that popcount is tested.
+    The first copy correspondence.copy_blocks finds, in its order of placement.
     """
-    n = pattern.n
-    if sample.words.size < n:
-        return None
-    pc = np.bitwise_count(sample.words)
-    order = np.argsort(pc, kind="stable")
-    words = sample.words[order]
-    # starts[r] is the first position of a word with popcount at least r.
-    starts = np.searchsorted(pc[order], np.arange(sample.n + 2)).tolist()
-    elems = sorted(range(n), key=lambda i: pattern.below[i].bit_count())
-    image = [0] * n
-
-    def place(d):
-        if d == n:
-            return True
-        u = elems[d]
-        placed = elems[:d]
-        r = max((image[j].bit_count() + 1 for j in placed if pattern.lt(j, u)), default=0)
-        tail = words[starts[r]:]
-        keep = None
-        for j in placed:
-            x = image[j]
-            if pattern.lt(j, u):
-                m = (tail & x) == x
-            elif induced:
-                m = ((tail & x) != x) & ((tail | x) != x)
-            else:
-                m = tail != x
-            keep = m if keep is None else keep & m
-        for w in (tail if keep is None else tail[keep]).tolist():
-            image[u] = w
-            if place(d + 1):
-                return True
-        return False
-
-    return tuple(image) if place(0) else None
+    block = next(copy_blocks(sample.words, pattern, induced), None)
+    return None if block is None else tuple(sample.words[block[0]].tolist())
 
 
 def contains_pattern(sample, pattern, induced=False):

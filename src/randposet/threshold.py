@@ -422,7 +422,7 @@ def balanced_solve(poset, family=None):
         return chain_side(x) - full_side(x)
 
     grid = np.linspace(1e-9, 0.5 - 1e-12, 4097)
-    vals = np.array([diff(x) for x in grid])
+    vals = diff(grid)
     if np.max(np.abs(vals)) < 1e-14:
         raise PosetError(
             "balance equation is degenerate for this poset "
@@ -508,6 +508,8 @@ def c_star(
     """
     if poset.n == 0:
         raise PosetError("exponent of the empty poset is undefined")
+    if not tol >= 0:
+        raise PosetError("tolerance must be a number >= 0, got %r" % (tol,))
     if poset.n > size_cap:
         raise CapacityError(
             "poset has %d elements, above the subposet-scan cap %d" % (poset.n, size_cap)

@@ -115,6 +115,14 @@ def test_count_matches_library(capsys):
     assert json.loads(out)["count"] == 5 ** 3
 
 
+@pytest.mark.parametrize("method", ["grouped", "scan", "backtrack"])
+def test_count_rejects_negative_ground_set(capsys, method):
+    code, out, err = run(capsys, "count", "chain:2", "--n", "-1", "--method", method)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- the results table -------------------------------------------------------------
 
 
@@ -135,6 +143,21 @@ def test_table1_known_open_row_is_flagged_but_passes(capsys):
     row = json.loads(out)["rows"][0]
     assert row["flags"] == ["class-mismatch (known)"]
     assert row["note"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cstar", "chain:3", "--tol", "nan"],
+        ["cstar", "chain:3", "--tol", "-1"],
+        ["table1", "--rows", "C(2)", "--tol", "nan"],
+    ],
+)
+def test_bad_tolerance_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- ramsey commands ----------------------------------------------------------------
@@ -207,6 +230,15 @@ def test_sat_solve_from_patterns(capsys):
     record = json.loads(out)
     assert record["status"] == "sat"
     assert len(record["colouring"]) == 8
+
+
+def test_sat_encode_rejects_an_empty_host(tmp_path, capsys):
+    empty = tmp_path / "empty.poset"
+    empty.write_text("")
+    code, out, err = run(capsys, "sat-encode", "--host", str(empty), "--pattern", "chain:2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sat_solve_rejects_non_integer_dimacs(tmp_path, capsys):

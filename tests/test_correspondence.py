@@ -12,10 +12,10 @@ from randposet.correspondence import (
     CopyMap,
     Partition,
     ShadowMap,
+    copy_blocks,
     copy_of_partition,
     count_copies,
     count_weighted_partitions,
-    iter_copy_images,
     nearest_composition,
     partition_of_copy,
     shadow_antichain,
@@ -28,6 +28,7 @@ from randposet.correspondence import (
 from randposet.posets import (
     Poset,
     PosetError,
+    _embeddings,
     antichains,
     boolean_lattice,
     catalog,
@@ -338,22 +339,52 @@ def test_injective_count_bounds():
         assert starred_count(m, n) <= inj <= m ** n
 
 
-def test_iter_copy_images_matches_counts():
-    for poset, n in ((chain(2), 3), (vee(), 3)):
-        for mode in ("injective", "induced"):
-            images = list(iter_copy_images(poset, n, mode))
-            assert len(images) == count_copies(poset, n, mode=mode)
-            if poset.n == 2:
-                assert len(set(images)) == len(images)
+@st.composite
+def words_and_pattern(draw):
+    """Distinct subset words with the host poset they form, and a pattern.
+
+    The words are all of B_d for d <= 4, or the down-set masks of a random
+    poset on at most 7 elements; the pattern has at most 4 elements whose
+    relations run up a random labelling.
+    """
+    if draw(st.booleans()):
+        d = draw(st.integers(0, 4))
+        host = boolean_lattice(d)
+        words = list(range(1 << d))
+    else:
+        k = draw(st.integers(0, 7))
+        pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+        host = Poset(k, [(a, b) for a, b in pairs if a < b < k])
+        words = [host.down_mask(i) for i in range(k)]
+    n = draw(st.integers(0, 4))
+    labels = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    pattern = Poset(n, [(labels[a], labels[b]) for a, b in pairs if a < b < n])
+    return host, np.array(words, dtype=np.int64), pattern
 
 
-def test_iter_copy_images_repeats_under_automorphisms():
-    images = list(iter_copy_images(vee(), 3, "induced"))
-    counts = {}
-    for tup in images:
-        counts[tup] = counts.get(tup, 0) + 1
-    assert set(counts.values()) == {2}
-    assert len(images) == 2 * len(counts)
+@settings(max_examples=150, deadline=None)
+@given(words_and_pattern(), st.booleans())
+def test_copy_blocks_match_the_embeddings(case, induced):
+    host, words, pattern = case
+    rows = [row for block in copy_blocks(words, pattern, induced) for row in block.tolist()]
+    expected = {tuple(sorted(t)) for t in _embeddings(pattern, host, induced, find_all=True)}
+    assert {tuple(sorted(row)) for row in rows} == expected
+    for row in rows:
+        images = [int(words[v]) for v in row]
+        assert len(set(images)) == pattern.n
+        for i in range(pattern.n):
+            for j in range(pattern.n):
+                if pattern.lt(i, j):
+                    assert images[i] & ~images[j] == 0
+                elif induced and i != j and not pattern.lt(j, i):
+                    assert images[i] & ~images[j] != 0
+    # Rows come in lexicographic order of placement: elements by down-set
+    # size, words by popcount (stable), as copy_blocks documents.
+    elems = sorted(range(pattern.n), key=lambda i: pattern.below[i].bit_count())
+    rank = np.argsort(np.argsort(np.bitwise_count(words), kind="stable"))
+    keys = [tuple(int(rank[row[e]]) for e in elems) for row in rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_count_copies_rejects_bad_mode():

@@ -85,6 +85,16 @@ def test_arrows_matches_brute_force():
             assert verify_colouring(host, witness, first, second)[0]
 
 
+def test_arrows_with_families_of_different_sizes():
+    # The first family mixes a 3-element and a 2-element pattern, so their
+    # copies have different widths.
+    host = boolean_lattice(3)
+    got, witness = arrows(host, [vee(), chain(2)], chain(3))
+    assert got == brute_arrows(host, [vee(), chain(2)], chain(3))
+    if not got:
+        assert verify_colouring(host, witness, [vee(), chain(2)], chain(3))[0]
+
+
 def test_arrows_symmetry_under_side_swap():
     for host in (boolean_lattice(2), chain(4)):
         a, _ = arrows(host, chain(2), chain(3))
