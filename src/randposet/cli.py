@@ -197,6 +197,8 @@ _TABLE1 = [
 
 
 def _cmd_table1(args):
+    if not args.value_tol >= 0:
+        raise UsageError("--value-tol must be a number >= 0, got %r" % (args.value_tol,))
     wanted = None
     if args.rows:
         wanted = {r.strip().lower() for r in args.rows.split(",")}

@@ -294,11 +294,14 @@ def solve_cnf(cnf, time_budget=None):
     """Embedded DPLL with watched literals and deterministic branching.
 
     Branches on the lowest-index unassigned variable, trying True first;
-    backtracking is chronological. A time budget (seconds) turns expiry into
-    an explicit "unknown" result. Satisfying assignments are verified
+    backtracking is chronological. A time budget (seconds, None for none)
+    turns expiry into an explicit "unknown" result; a budget of 0 leaves
+    only the initial propagation. Satisfying assignments are verified
     against every clause before being returned.
     """
-    deadline = time.monotonic() + time_budget if time_budget else None
+    if time_budget is not None and not time_budget >= 0:
+        raise PosetError("time budget must be a number >= 0, got %r" % (time_budget,))
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     nv = cnf.num_vars
     clauses = []
     for c in cnf.clauses:
@@ -403,12 +406,12 @@ def solve_cnf(cnf, time_budget=None):
 
     next_var = 1
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return SatResult("unknown")
         while next_var <= nv and val[next_var] is not None:
             next_var += 1
         if next_var > nv:
             break
+        if deadline is not None and time.monotonic() >= deadline:
+            return SatResult("unknown")
         enqueue(next_var, "decision")
         while propagate(len(trail) - 1):
             if not backtrack():

@@ -47,6 +47,8 @@ def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
         raise PosetError("dimension must be between 0 and 62")
     if not 0 <= c < math.inf:
         raise PosetError("exponent must be a finite number >= 0, got %r" % (c,))
+    if not budget >= 0:
+        raise PosetError("budget must be a number >= 0, got %r" % (budget,))
     if rng is None:
         rng = np.random.default_rng(seed)
     total = 1 << n

@@ -136,7 +136,9 @@ def antichain_symmetry_group(poset, family):
     order-reversing self-bijection psi, through the complementation action
     sending an antichain S to psi^{-1} of the maximal elements outside S's
     up-set. Every element of the group they generate leaves the objective
-    fixed. The identity is among the generators.
+    fixed. The identity is among the generators. ``c_star`` does not use
+    this group: its starts are fixed by it and its mirror steps commute with
+    it, so the iterates stay in the fixed subspace without any averaging.
     """
     m = len(family)
     full = poset.full_mask()
@@ -160,27 +162,6 @@ def antichain_symmetry_group(poset, family):
         if sorted(g) != list(range(m)):
             raise PosetError("symmetry action is not a permutation (internal error)")
     return [np.array(g, dtype=np.intp) for g in sorted(gens)]
-
-
-def _orbit_labels(generators):
-    """Orbit index of every antichain under the group the generators generate.
-
-    Each label is lowered to the smallest label one generator step away until
-    nothing changes; along every cycle of a permutation the labels then agree,
-    so each orbit carries its least member.
-    """
-    gens = np.array(generators)
-    label = np.arange(gens.shape[1])
-    while True:
-        lowered = np.minimum(label, label[gens].min(axis=0))
-        if np.array_equal(lowered, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = lowered
-
-
-def _orbit_average(alpha, orbit):
-    """Mean of a weighting over each orbit: its average over the whole group."""
-    return (np.bincount(orbit, weights=alpha) / np.bincount(orbit))[orbit]
 
 
 # -- reports -------------------------------------------------------------------
@@ -501,10 +482,10 @@ def c_star(
 ):
     """Certified max-min containment exponent of a poset.
 
-    Entropic mirror ascent over the antichain simplex with orbit averaging,
-    a Newton polish on the detected active set, and a linear-programming
-    dual certificate for the upper bound. Disconnected posets decompose as
-    the minimum over their components.
+    Entropic mirror ascent over the antichain simplex, a Newton polish on
+    the detected active set, and a linear-programming dual certificate for
+    the upper bound. Disconnected posets decompose as the minimum over their
+    components.
     """
     if poset.n == 0:
         raise PosetError("exponent of the empty poset is undefined")
@@ -523,7 +504,6 @@ def c_star(
     family = antichains(poset)
     table = ExponentTable.build(poset, family)
     m = len(family)
-    orbit = _orbit_labels(antichain_symmetry_group(poset, family))
     notes = []
 
     starts = [np.full(m, 1.0 / m)]
@@ -583,10 +563,7 @@ def c_star(
             logs -= logs.max()
             alpha = np.exp(logs)
             alpha /= alpha.sum()
-            alpha = _orbit_average(alpha, orbit)
-            alpha = np.maximum(alpha, 0.0)
-            alpha /= alpha.sum()
-        try_improvements(_orbit_average(alpha, orbit))
+        try_improvements(alpha)
         try_improvements(_kkt_polish(table, best_alpha))
         upper = min(upper, _dual_upper_bound(table, best_alpha))
 

@@ -151,6 +151,8 @@ def test_table1_known_open_row_is_flagged_but_passes(capsys):
         ["cstar", "chain:3", "--tol", "nan"],
         ["cstar", "chain:3", "--tol", "-1"],
         ["table1", "--rows", "C(2)", "--tol", "nan"],
+        ["table1", "--rows", "V", "--value-tol", "nan"],
+        ["table1", "--rows", "V", "--value-tol", "-1"],
     ],
 )
 def test_bad_tolerance_is_a_usage_error(capsys, argv):
@@ -248,6 +250,29 @@ def test_sat_solve_rejects_non_integer_dimacs(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "line 3" in err
+
+
+def test_sat_solve_zero_time_budget_is_unknown(capsys):
+    code, out, _ = run(capsys, "sat-solve", "--host", "boolean:3", "--pattern", "boolean:3",
+                       "--mode", "all-induced", "--time-budget", "0")
+    assert code == 3
+    assert out.strip() == "UNKNOWN"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat-solve", "--host", "boolean:3", "--pattern", "chain:2", "--time-budget", "nan"],
+        ["sat-solve", "--host", "boolean:3", "--pattern", "chain:2", "--time-budget", "-1"],
+        ["simulate", "--pattern", "v", "--n", "16", "--c", "0", "--trials", "1",
+         "--budget", "nan"],
+    ],
+)
+def test_bad_budget_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sat_solve_requires_an_input(capsys):

@@ -283,6 +283,18 @@ def test_solver_time_budget_reports_unknown():
     assert solve_cnf(php_formula(7, 6), time_budget=1e-9).status == "unknown"
 
 
+def test_solver_zero_time_budget_leaves_only_propagation():
+    assert solve_cnf(php_formula(7, 6), time_budget=0).status == "unknown"
+    assert solve_cnf(CnfFormula(2, [(1,), (-1, 2)]), time_budget=0).status == "sat"
+    assert solve_cnf(CnfFormula(2, [(1,), (-1, 2), (-2,)]), time_budget=0).status == "unsat"
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0])
+def test_solver_rejects_a_bad_time_budget(budget):
+    with pytest.raises(PosetError):
+        solve_cnf(php_formula(3, 2), time_budget=budget)
+
+
 # -- exponent bounds ---------------------------------------------------------------
 
 

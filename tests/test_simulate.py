@@ -90,6 +90,9 @@ def test_sample_guards():
             sample_pnp(8, c)
     with pytest.raises(CapacityError):
         sample_pnp(30, 0.0, budget=10 ** 6)
+    for budget in (float("nan"), -1):
+        with pytest.raises(PosetError):
+            sample_pnp(16, 0.0, budget=budget)
 
 
 def test_sample_inclusion_probability():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -38,8 +39,6 @@ from randposet.threshold import (
     two_point_weighting,
     universality_band,
     wide_diamond_threshold,
-    _orbit_average,
-    _orbit_labels,
 )
 
 
@@ -206,7 +205,7 @@ def test_cstar_below_generic_upper_bounds():
 
 
 def test_cstar_blowup_three_layers_of_four():
-    # |G| = 27,648 here: orbits from generators, with no group closure.
+    # 27,648 automorphisms and reverse automorphisms; c_star lists none.
     rep = c_star(catalog("blowup:3,4"))
     assert rep.converged
     assert rep.value == pytest.approx(blowup_bounds(3, 4)[1], abs=1e-9)
@@ -248,41 +247,25 @@ def test_objective_symmetry_invariance():
                 assert abs(table.objective(a[perm]) - g0) <= 1e-12
 
 
-def _closed_group(generators):
-    """Every composition of the generators: the reference the orbit mean replaces."""
-    identity = tuple(range(len(generators[0])))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        for s in generators:
-            h = tuple(g[j] for j in s)
-            if h not in group:
-                group.add(h)
-                frontier.append(h)
-    return [np.array(g) for g in group]
-
-
-@pytest.mark.parametrize("spec", ["boolean:2", "boolean:3", "layered:2,1,2", "blowup:2,3"])
-def test_orbit_average_is_the_group_average(spec):
+@pytest.mark.parametrize("spec", ["layered:2,3,2", "t2", "layered:3,3,3,2", "lambda'", "fish"])
+def test_certificate_is_fixed_by_the_symmetry_group(spec):
+    # c_star averages nothing: its starts are fixed by the group and its
+    # steps commute with it, so the certificate is fixed up to roundoff.
     p = catalog(spec)
-    gens = antichain_symmetry_group(p, antichains(p))
-    group = _closed_group(gens)
-    assert len(group) <= 72
-    orbit = _orbit_labels(gens)
-    rng = random.Random(spec)
-    for _ in range(20):
-        a = random_simplex(rng, len(orbit))
-        want = np.zeros_like(a)
-        for perm in group:
-            pushed = np.empty_like(a)
-            pushed[perm] = a
-            want += pushed
-        want /= len(group)
-        got = _orbit_average(a, orbit)
-        assert np.abs(got - want).max() <= 1e-15
-        for perm in gens:
-            assert np.array_equal(got[perm], got)
+    rep = c_star(p)
+    assert rep.classification == "General" and rep.iterations >= 200
+    cert = np.array(rep.certificate)
+    for perm in antichain_symmetry_group(p, antichains(p)):
+        assert np.abs(cert[perm] - cert).max() <= 1e-12
+
+
+def test_cstar_converges_at_the_size_cap_on_a_symmetric_poset():
+    # |Aut| = 7!^2 here; c_star never lists it.
+    t0 = time.monotonic()
+    rep = c_star(catalog("layered:7,7"))
+    assert time.monotonic() - t0 < 10.0
+    assert rep.converged
+    assert rep.value == pytest.approx(math.log(255) / 14, abs=1e-12)
 
 
 # -- balance equation ------------------------------------------------------------
