@@ -29,7 +29,6 @@ from .posets import (
     is_isomorphic,
     layered,
     lex_product,
-    poset_key,
     reverse,
     tower,
     vee,
@@ -195,7 +194,10 @@ def enumerate_pattern_copies(host, pattern, mode="all-weak"):
         raise PosetError("mode must be subcube, all-weak or all-induced")
     m = len(antichains(pattern))
     if m ** d > SCAN_GUARD:
-        raise CapacityError("enumeration over %d^%d partitions exceeds the guard" % (m, d))
+        raise CapacityError(
+            "copy bound %d^%d (antichains^dimension) exceeds the enumeration guard %d"
+            % (m, d, SCAN_GUARD)
+        )
     return _copy_images(np.arange(1 << d), [pattern], mode == "all-induced")
 
 
@@ -457,18 +459,6 @@ class RamseyBoundsReport:
         }
 
 
-_CSTAR_CACHE = {}
-
-
-def _cstar(poset, name):
-    key = poset_key(poset)
-    hit = _CSTAR_CACHE.get(key)
-    if hit is None:
-        hit = threshold.c_star(poset, name=name)
-        _CSTAR_CACHE[key] = hit
-    return hit
-
-
 def _chain_length(poset):
     """The length t when the poset is a t-chain, else None."""
     t = poset.n
@@ -483,7 +473,7 @@ def _pair_variants(p, q):
     return [(p, q), (q, p), (rp, rq), (rq, rp)]
 
 
-def exponent_bounds(first, second, h_poset=None, size_cap=threshold.DEFAULT_SIZE_CAP):
+def exponent_bounds(first, second, h_poset=None):
     """Best known bracket for the Ramsey threshold exponents of a pair.
 
     Combines the generic constructions (lexicographic product host for the
@@ -505,14 +495,14 @@ def exponent_bounds(first, second, h_poset=None, size_cap=threshold.DEFAULT_SIZE
 
     if len(firsts) == 1 and len(seconds) == 1:
         p, q = firsts[0], seconds[0]
-        if p.n * q.n <= size_cap:
-            rep = _cstar(lex_product(p, q), "lex-product host")
+        if p.n * q.n <= threshold.DEFAULT_SIZE_CAP:
+            rep = threshold.c_star(lex_product(p, q), name="lex-product host")
             lower_cands.append((rep.value, "lexicographic product host"))
         else:
             notes.append("lexicographic product too large for the exponent cap")
         for a, b in ((p, q), (q, p)):
             if len(a.maximal_elements()) == 1 and len(b.minimal_elements()) == 1:
-                rep = _cstar(tower(a, b), "tower colouring")
+                rep = threshold.c_star(tower(a, b), name="tower colouring")
                 upper_cands.append((rep.value, "tower colouring"))
                 break
         else:
@@ -522,39 +512,53 @@ def exponent_bounds(first, second, h_poset=None, size_cap=threshold.DEFAULT_SIZE
             s = _chain_length(pp)
             t = _chain_length(qq)
             if s is not None and t is not None:
-                val = _cstar(chain(s + t - 1), "chain host").value
+                val = threshold.c_star(chain(s + t - 1), name="chain host").value
                 exact = val
                 lower_cands.append((val, "chain pigeonhole (exact)"))
                 upper_cands.append((val, "chain pigeonhole (exact)"))
                 break
             if is_isomorphic(pp, vee()) and is_isomorphic(qq, vee()):
-                val = _cstar(binary_tree_2(), "binary tree host").value
+                val = threshold.c_star(binary_tree_2(), name="binary tree host").value
                 exact = val
                 lower_cands.append((val, "depth-2 binary tree (exact)"))
                 upper_cands.append((val, "depth-2 binary tree (exact)"))
                 break
             if s == 2 and is_isomorphic(qq, vee()):
-                lower_cands.append((_cstar(y_prime(), "Y'").value, "Y-prime host"))
-                upper_cands.append((_cstar(y_poset(), "Y").value, "Y colouring"))
+                lower_cands.append((threshold.c_star(y_prime(), name="Y'").value, "Y-prime host"))
+                upper_cands.append((threshold.c_star(y_poset(), name="Y").value, "Y colouring"))
                 break
             if is_isomorphic(pp, wedge()) and is_isomorphic(qq, vee()):
-                lower_cands.append((_cstar(layered([2, 3, 2]), "C(2,3,2)").value, "C(2,3,2) host"))
-                upper_cands.append((_cstar(layered([2, 1, 2]), "C(2,1,2)").value, "C(2,1,2) colouring"))
+                lower_cands.append(
+                    (threshold.c_star(layered([2, 3, 2]), name="C(2,3,2)").value, "C(2,3,2) host")
+                )
+                upper_cands.append(
+                    (threshold.c_star(layered([2, 1, 2]), name="C(2,1,2)").value, "C(2,1,2) colouring")
+                )
                 break
             if s == 3 and is_isomorphic(qq, vee()):
-                lower_cands.append((_cstar(y_double_prime(), "Y''").value, "Y-double-prime host"))
-                upper_cands.append((_cstar(layered([1, 1, 1, 2]), "C(1,1,1,2)").value, "C(1,1,1,2) colouring"))
+                lower_cands.append(
+                    (threshold.c_star(y_double_prime(), name="Y''").value, "Y-double-prime host")
+                )
+                upper_cands.append(
+                    (threshold.c_star(layered([1, 1, 1, 2]), name="C(1,1,1,2)").value, "C(1,1,1,2) colouring")
+                )
                 break
             if is_isomorphic(pp, diamond()) and t == 2:
-                lower_cands.append((_cstar(double_diamond(), "DD").value, "double diamond host"))
-                upper_cands.append((_cstar(layered([1, 1, 2, 1]), "C(1,1,2,1)").value, "C(1,1,2,1) colouring"))
+                lower_cands.append(
+                    (threshold.c_star(double_diamond(), name="DD").value, "double diamond host")
+                )
+                upper_cands.append(
+                    (threshold.c_star(layered([1, 1, 2, 1]), name="C(1,1,2,1)").value, "C(1,1,2,1) colouring")
+                )
                 break
             if is_isomorphic(pp, diamond()) and is_isomorphic(qq, diamond()):
                 upper_cands.append(
-                    (_cstar(layered([1, 2, 1, 2, 1]), "C(1,2,1,2,1)").value, "C(1,2,1,2,1) colouring")
+                    (threshold.c_star(layered([1, 2, 1, 2, 1]), name="C(1,2,1,2,1)").value, "C(1,2,1,2,1) colouring")
                 )
                 if h_poset is not None:
-                    lower_cands.append((_cstar(h_poset, "user host").value, "user-supplied host"))
+                    lower_cands.append(
+                        (threshold.c_star(h_poset, name="user host").value, "user-supplied host")
+                    )
                 else:
                     notes.append("lower bound host unavailable (supply it as a poset file)")
                 break
@@ -569,14 +573,16 @@ def exponent_bounds(first, second, h_poset=None, size_cap=threshold.DEFAULT_SIZE
         fam1 = is_v_wedge_family(firsts)
         fam2 = is_v_wedge_family(seconds)
         if fam1 and fam2:
-            lower_cands.append((_cstar(layered([2, 1, 2]), "C(2,1,2)").value, "C(2,1,2) host"))
+            lower_cands.append((threshold.c_star(layered([2, 1, 2]), name="C(2,1,2)").value, "C(2,1,2) host"))
         single = None
         if fam1 and len(seconds) == 1:
             single = seconds[0]
         elif fam2 and len(firsts) == 1:
             single = firsts[0]
         if single is not None and _chain_length(single) == 2:
-            upper_cands.append((_cstar(wedge_prime(), "wedge'").value, "wedge-prime colouring"))
+            upper_cands.append(
+                (threshold.c_star(wedge_prime(), name="wedge'").value, "wedge-prime colouring")
+            )
 
     report = RamseyBoundsReport(pair=(pname(firsts), pname(seconds)), notes=notes)
     if lower_cands:

@@ -28,7 +28,7 @@ from .posets import (
     reverse_automorphisms,
     _bits,
 )
-from .correspondence import ShadowMap, shadow_indices
+from .correspondence import shadow_indices
 
 DEFAULT_SIZE_CAP = 14
 
@@ -107,16 +107,6 @@ class ExponentTable:
         beta = np.bincount(sigma, weights=np.asarray(alpha, dtype=float))
         safe = np.maximum(beta, 1e-300)
         return (-np.log(safe[sigma]) - 1.0) / self.sizes[q_index]
-
-
-def critical_exponent_wrt(poset, alpha, q_mask, family=None):
-    """Exponent of one subposet under one weighting: shadow entropy / |Q|."""
-    if q_mask == 0:
-        raise PosetError("subposet must be nonempty")
-    if family is None:
-        family = antichains(poset)
-    beta = ShadowMap(family, q_mask).push_weighting(alpha)
-    return entropy(beta) / q_mask.bit_count()
 
 
 # -- symmetry ------------------------------------------------------------------
@@ -225,10 +215,12 @@ class Classification:
 def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=120):
     """Certified upper bound from supergradients at (a slightly interior) alpha.
 
-    For weights lambda on a set of subposets, concavity of each exponent
-    gives, for every feasible weighting, a bound
-    sum_q lambda_q / |Q_q| + max_j (sum_q lambda_q grad_q)_j; minimizing over
-    lambda is a small linear program.
+    For weights lambda on the simplex over a set of subposets, concavity of
+    each exponent gives, for every feasible weighting, a bound
+    sum_q lambda_q / |Q_q| + max_j (sum_q lambda_q grad_q)_j. A small linear
+    program picks lambda; the bound is then recomputed from lambda alone, so
+    the solver's own tolerances cannot lower it, and widened by a roundoff
+    allowance before rounding outward.
     """
     alpha = np.asarray(alpha, dtype=float)
     m = alpha.size
@@ -256,7 +248,15 @@ def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=120):
     )
     if not res.success:
         return math.inf
-    return float(res.fun)
+    lam = np.maximum(res.x[:k], 0.0)
+    lam /= lam.sum()
+    head = lam * inv_sizes
+    bound = math.fsum(head) + float((grads @ lam).max())
+    # (k + m + 4) ulps of the terms' magnitude cover the roundoff of these
+    # k-term sums and of the m-term entropy sums behind both ends of the
+    # bracket, so a bracket that is tight at the optimum does not cross.
+    scale = float(head.sum() + (np.abs(grads) @ lam).max())
+    return math.nextafter(bound + (k + m + 4) * np.finfo(float).eps * scale, math.inf)
 
 
 def _kkt_polish(table, alpha, active_tol=1e-4, max_active=48, rounds=6):
@@ -473,33 +473,29 @@ def classify(poset, family=None, table=None, tol=1e-9):
     return Classification("General", uniform_violations, details)
 
 
-def c_star(
-    poset,
-    tol=1e-6,
-    max_iter=6000,
-    size_cap=DEFAULT_SIZE_CAP,
-    name=None,
-):
+def c_star(poset, tol=1e-6, max_iter=6000, name=None):
     """Certified max-min containment exponent of a poset.
 
-    Entropic mirror ascent over the antichain simplex, a Newton polish on
-    the detected active set, and a linear-programming dual certificate for
-    the upper bound. Disconnected posets decompose as the minimum over their
-    components.
+    Entropic mirror ascent over the antichain simplex and a Newton polish on
+    the detected active set find the certificate. The bracket comes from
+    that certificate and the LP dual alone: the lower bound is the objective
+    at the certificate, the upper bound is ``_dual_upper_bound`` recomputed
+    from the dual multipliers. A crossed bracket is reported, not clamped.
+    Disconnected posets decompose as the minimum over their components.
     """
     if poset.n == 0:
         raise PosetError("exponent of the empty poset is undefined")
     if not tol >= 0:
         raise PosetError("tolerance must be a number >= 0, got %r" % (tol,))
-    if poset.n > size_cap:
+    if poset.n > DEFAULT_SIZE_CAP:
         raise CapacityError(
-            "poset has %d elements, above the subposet-scan cap %d" % (poset.n, size_cap)
+            "poset has %d elements, above the subposet-scan cap %d" % (poset.n, DEFAULT_SIZE_CAP)
         )
     if name is None:
         name = "poset(n=%d)" % poset.n
     comps = connected_components(poset)
     if len(comps) > 1:
-        return _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name)
+        return _c_star_disconnected(poset, comps, tol, max_iter, name)
 
     family = antichains(poset)
     table = ExponentTable.build(poset, family)
@@ -507,19 +503,10 @@ def c_star(
     notes = []
 
     starts = [np.full(m, 1.0 / m)]
-    balanced_start = None
     if poset.is_bounded() and poset.n >= 2 and m >= 4:
         try:
-            balanced_start = balanced_solve(poset, family)
-            starts.append(balanced_start.weighting)
+            starts.append(balanced_solve(poset, family).weighting)
             notes.append("balanced two-point start available")
-        except PosetError:
-            pass
-
-    uppers = [math.log(m) / poset.n]
-    if poset.is_bounded() and poset.n >= 2:
-        try:
-            uppers.append(bounded_upper_bound(poset, family=family))
         except PosetError:
             pass
 
@@ -530,7 +517,7 @@ def c_star(
         if v > best_val:
             best_val, best_alpha = v, alpha0
 
-    upper = min(uppers)
+    upper = _dual_upper_bound(table, best_alpha)
     iterations = 0
     alpha = np.array(best_alpha, dtype=float)
 
@@ -571,53 +558,16 @@ def c_star(
     if upper - best_val > 1e-15:
         try_improvements(_kkt_polish(table, best_alpha))
         upper = min(upper, _dual_upper_bound(table, best_alpha))
-    # The lower bound is itself a certified value, so a marginally smaller
-    # upper bound can only be roundoff.
-    upper = max(upper, best_val)
-    converged = upper - best_val <= tol
-    if not converged:
-        notes.append("iteration cap reached with bracket width %.3e" % (upper - best_val))
-
-    label = classify(poset, family, table).label
-    atol = max(1e-9, upper - best_val)
-    vals = table.values(best_alpha)
-    active_masks = sorted(
-        (int(table.q_masks[i]) for i in range(len(vals)) if vals[i] <= best_val + atol),
-        key=lambda q: tuple(_bits(q)),
-    )
-    return CriticalExponentReport(
-        poset_name=name,
-        size=poset.n,
-        family_size=m,
-        value=best_val,
-        lower_bound=best_val,
-        upper_bound=upper,
-        certificate=[float(v) for v in best_alpha],
-        active_subposets=active_masks,
-        classification=label,
-        iterations=iterations,
-        tolerance=tol,
-        converged=converged,
-        notes=notes,
-    )
+    return _report(poset, family, table, name, best_alpha, upper, iterations, tol, notes)
 
 
-def _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name):
+def _c_star_disconnected(poset, comps, tol, max_iter, name):
     """Component decomposition: the exponent is the minimum over components."""
     family = antichains(poset)
-    table = ExponentTable.build(poset, family)
-    reports = []
-    for comp in comps:
-        sub = induced_subposet(poset, comp)
-        reports.append(
-            c_star(
-                sub,
-                tol=tol,
-                max_iter=max_iter,
-                size_cap=size_cap,
-                name=name + "[component]",
-            )
-        )
+    reports = [
+        c_star(induced_subposet(poset, comp), tol=tol, max_iter=max_iter, name=name + "[component]")
+        for comp in comps
+    ]
     # Product certificate: weight of an antichain is the product of its
     # component restrictions' weights. An antichain's shadow in a component
     # is its restriction there, since no order relation crosses components.
@@ -626,18 +576,37 @@ def _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name):
         alpha *= np.asarray(rep.certificate)[sigma]
     alpha = np.maximum(alpha, 0)
     alpha /= alpha.sum()
+    return _report(
+        poset,
+        family,
+        ExponentTable.build(poset, family),
+        name,
+        alpha,
+        min(rep.upper_bound for rep in reports),
+        sum(rep.iterations for rep in reports),
+        tol,
+        ["component decomposition over %d components" % len(comps)],
+    )
+
+
+def _report(poset, family, table, name, alpha, upper, iterations, tol, notes):
+    """Report for a certificate alpha and a certified upper bound.
+
+    The lower bound is the objective at alpha. The bracket counts as
+    converged only when it is ordered and no wider than tol.
+    """
     vals = table.values(alpha)
     lower = float(vals.min())
-    upper = min(rep.upper_bound for rep in reports)
-    iterations = sum(rep.iterations for rep in reports)
-    converged = upper - lower <= tol
+    converged = lower <= upper <= lower + tol
+    if upper < lower:
+        notes.append("bracket crossed: upper bound %.3e below the lower bound" % (lower - upper))
+    elif not converged:
+        notes.append("iteration cap reached with bracket width %.3e" % (upper - lower))
     atol = max(1e-9, upper - lower)
     active_masks = sorted(
         (int(table.q_masks[i]) for i in range(len(vals)) if vals[i] <= lower + atol),
         key=lambda q: tuple(_bits(q)),
     )
-    label = classify(poset, family, table).label
-    notes = ["component decomposition over %d components" % len(comps)]
     return CriticalExponentReport(
         poset_name=name,
         size=poset.n,
@@ -647,7 +616,7 @@ def _c_star_disconnected(poset, comps, tol, max_iter, size_cap, name):
         upper_bound=upper,
         certificate=[float(v) for v in alpha],
         active_subposets=active_masks,
-        classification=label,
+        classification=classify(poset, family, table).label,
         iterations=iterations,
         tolerance=tol,
         converged=converged,
@@ -729,7 +698,11 @@ def bounded_upper_bound(poset, family=None):
 
     Maximizes over x the minimum of the single-bottom entropy H2(x) and, for
     every subposet containing both bounds, the exponent that subposet sees
-    under the two-point weighting with parameter x.
+    under the two-point weighting with parameter x. The bounded scalar
+    maximization can fall about 4e-10 short of that maximum (on the 3-cube
+    it lands 3.7e-10 below c_star's certified lower bound), so this is a
+    closed form to compare against, not a certified bound; ``c_star`` does
+    not use it.
     """
     mins = poset.minimal_elements()
     maxs = poset.maximal_elements()
@@ -768,7 +741,7 @@ def bounded_upper_bound(poset, family=None):
     hi = 0.5
     res = minimize_scalar(lambda x: -phi(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
     candidates = [phi(lo), phi(hi), -float(res.fun)]
-    # A plain float, so that c_star's converged flag is a bool JSON can hold.
+    # A plain float, not a numpy scalar, so that JSON can hold it.
     return float(max(candidates))
 
 

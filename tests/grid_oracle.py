@@ -7,6 +7,8 @@ points that cannot beat the running best are discarded before the other
 subposets are evaluated.
 """
 
+import math
+
 import numpy as np
 
 from randposet.correspondence import shadow_antichain
@@ -92,13 +94,23 @@ def _eval_matrix(poset, family, maps, denom, e):
     return best
 
 
-def _eval_streamed_5(poset, maps, denom, e):
+def _eval_streamed_5(poset, maps, denom, e, best=-np.inf):
+    """Stream (k0, k1) slices of the five-part grid; best seeds the running max.
+
+    With k0 and k1 fixed, the three other coordinates share rem = denom -
+    k0 - k1, so by concavity of f(p) = -p log p the slice's full-poset value
+    is at most (e[k0] + e[k1] + 3 f(rem / (3 denom))) / n. A slice whose
+    bound is below the running best cannot hold a better point.
+    """
     n = poset.n
     other_maps = maps[:-1]
-    best = -np.inf
     for k0 in range(denom + 1):
         for k1 in range(denom + 1 - k0):
             rem = denom - k0 - k1
+            share = rem / (3.0 * denom)
+            cap = -3.0 * share * math.log(share) if rem else 0.0
+            if (e[k0] + e[k1] + cap) / n < best - 1e-12:
+                continue
             k2 = np.arange(rem + 1)
             su = k2[:, None] + k2[None, :]
             valid = su <= rem
@@ -136,4 +148,10 @@ def grid_maximin(poset, denom=400):
     e = _entropy_table(denom)
     if m <= 4:
         return _eval_matrix(poset, family, maps, denom, e)
-    return _eval_streamed_5(poset, maps, denom, e)
+    best = -np.inf
+    if denom % 8 == 0:
+        # The step-8 sub-grid's points are genuine grid points, evaluated by
+        # the same arithmetic, so its best seeds the full scan without
+        # changing the result.
+        best = _eval_streamed_5(poset, maps, denom // 8, e[::8])
+    return _eval_streamed_5(poset, maps, denom, e, best)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from randposet import threshold
 from randposet.cli import main
 from randposet.correspondence import count_copies
 from randposet.posets import vee
@@ -85,11 +86,20 @@ def test_cstar_default_tolerance_above_eight_elements(capsys):
 
 
 def test_cstar_json_on_chains(capsys):
-    # The bounded upper bound decides these brackets; it must stay a plain float.
+    # The converged flag must stay a plain bool that JSON can hold.
     for spec in ("chain:2", "chain:3", "chain:4"):
         code, out, _ = run(capsys, "cstar", spec, "--json")
         assert code == 0
         assert json.loads(out)["converged"] is True
+
+
+def test_cstar_crossed_bracket_exits_unconverged(capsys, monkeypatch):
+    dual = threshold._dual_upper_bound
+    monkeypatch.setattr(threshold, "_dual_upper_bound", lambda table, alpha: dual(table, alpha) - 1e-6)
+    code, out, _ = run(capsys, "cstar", "v")
+    assert code == 3
+    assert "note: bracket crossed" in out
+    assert "UNCONVERGED" in out
 
 
 def test_classify_text_and_json(capsys):
@@ -213,6 +223,14 @@ def test_sat_encode_stdout_and_file(tmp_path, capsys):
     assert "wrote" in out
     cnf = parse_dimacs(path.read_text(encoding="utf-8"))
     assert cnf.num_vars == 4
+
+
+def test_sat_encode_beyond_the_copy_guard_is_a_capacity_error(tmp_path, capsys):
+    code, out, err = run(capsys, "sat-encode", "--host", "boolean:7", "--pattern", "boolean:3",
+                         "--output", str(tmp_path / "p7.cnf"))
+    assert code == 2
+    assert "20^7" in err
+    assert not (tmp_path / "p7.cnf").exists()
 
 
 def test_sat_solve_from_dimacs(tmp_path, capsys):

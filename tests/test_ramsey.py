@@ -190,6 +190,12 @@ def test_enumeration_matches_direct_backtracking():
             assert len(scanned) == count_pattern_copies_direct(host, pattern, mode=mode)
 
 
+def test_enumeration_copy_guard():
+    # 20 antichains of the 3-cube in dimension 7: 20^7 > SCAN_GUARD.
+    with pytest.raises(CapacityError, match="20\\^7"):
+        enumerate_pattern_copies(boolean_lattice(7), boolean_lattice(3))
+
+
 def test_enumeration_input_guards():
     with pytest.raises(PosetError):
         enumerate_pattern_copies(chain(3), chain(2))

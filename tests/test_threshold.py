@@ -18,10 +18,12 @@ from randposet.posets import (
     diamond,
     disjoint_union,
     double_diamond,
+    fish,
     layered,
     vee,
     wedge,
 )
+from randposet import threshold
 from randposet.threshold import (
     ExponentTable,
     antichain_symmetry_group,
@@ -216,6 +218,46 @@ def test_cstar_default_tolerance_is_one_per_million_at_every_size():
     assert rep.tolerance == 1e-6
     assert rep.converged
     assert rep.upper_bound - rep.lower_bound <= 1e-6
+
+
+# Covers of the benchmark's random connected poset (11, 0).
+RANDOM_11 = Poset(
+    11,
+    [(0, 1), (0, 3), (1, 6), (1, 7), (1, 9), (1, 10), (2, 3), (2, 10), (3, 6), (3, 8),
+     (3, 9), (4, 5), (4, 10), (5, 8), (7, 8)],
+)
+
+
+@pytest.mark.parametrize("poset", [catalog("y''"), fish(), RANDOM_11], ids=["y''", "fish", "random11"])
+def test_dual_upper_bound_is_not_below_the_certificate(poset):
+    # Taken from the LP's own value, this bound fell 5e-13 to 1.3e-11 below
+    # the objective at the certificate on these posets.
+    rep = c_star(poset)
+    table = ExponentTable.build(poset)
+    cert = np.array(rep.certificate)
+    assert threshold._dual_upper_bound(table, cert) >= table.objective(cert)
+    assert rep.lower_bound <= rep.upper_bound
+
+
+def test_tight_bracket_does_not_cross_by_roundoff():
+    # The uniform weighting is optimal, c* = log(13)/8, and the float sum of
+    # the objective there lands one ulp above the float log(13)/8; an upper
+    # bound rounded outward by one ulp only fell below it.
+    p = Poset(8, [(0, 1), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7)])
+    rep = c_star(p)
+    assert rep.classification == "UniformlyBalanced" and rep.iterations == 0
+    assert rep.lower_bound <= rep.upper_bound <= rep.lower_bound + 1e-12
+    assert rep.upper_bound >= math.log(13) / 8
+    assert rep.converged and not rep.notes
+
+
+def test_crossed_bracket_is_reported_not_clamped(monkeypatch):
+    dual = threshold._dual_upper_bound
+    monkeypatch.setattr(threshold, "_dual_upper_bound", lambda table, alpha: dual(table, alpha) - 1e-6)
+    rep = c_star(vee())
+    assert rep.upper_bound < rep.lower_bound
+    assert rep.converged is False
+    assert any(note.startswith("bracket crossed") for note in rep.notes)
 
 
 def test_objective_concavity():
