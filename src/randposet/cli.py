@@ -113,7 +113,11 @@ def _report_lines(args, rep, poset):
     for note in rep.notes:
         lines.append("note: %s" % note)
     if not rep.converged:
-        lines.append("UNCONVERGED: bracket width %s above tolerance" % _fmt(rep.upper_bound - rep.lower_bound))
+        width = rep.upper_bound - rep.lower_bound
+        if width < 0:
+            lines.append("UNCONVERGED: bracket crossed")
+        else:
+            lines.append("UNCONVERGED: bracket width %s above tolerance" % _fmt(width))
     return lines
 
 

@@ -5,13 +5,14 @@ elements leaves a red copy of the first pattern or a blue copy of the
 second (weak subposet copies by default). Each arrow question becomes a CNF
 over one variable per host element, one clause per copy that
 correspondence.copy_blocks finds among the host's down-set masks, solved by
-an embedded DPLL solver. Avoidance in subset lattices is encoded the same
+an embedded CDCL solver. Avoidance in subset lattices is encoded the same
 way, and Ramsey threshold exponents are bounded via product and tower
 constructions plus a catalog of known pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -286,20 +287,38 @@ def encode_avoidance(host, pattern, mode="all-weak"):
 
 @dataclass
 class SatResult:
-    """Outcome of the embedded solver: sat, unsat, or unknown on timeout."""
+    """Outcome of the embedded solver: sat, unsat, or unknown on timeout.
+
+    ``stats`` counts decisions, conflicts, propagations, restarts and learnt
+    clauses. For unsat, ``learnt`` lists the learnt clauses in the order they
+    were derived: each follows from the original clauses and the ones before
+    it by unit propagation, and together they propagate to a conflict.
+    """
 
     status: str
     assignment: dict = None
+    stats: dict = field(default_factory=dict)
+    learnt: list = None
+
+
+def _luby(i):
+    """The i-th term, from 1, of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
 
 
 def solve_cnf(cnf, time_budget=None):
-    """Embedded DPLL with watched literals and deterministic branching.
+    """Embedded CDCL solver (Een & Sorensson, SAT 2003), fully deterministic.
 
-    Branches on the lowest-index unassigned variable, trying True first;
-    backtracking is chronological. A time budget (seconds, None for none)
-    turns expiry into an explicit "unknown" result; a budget of 0 leaves
-    only the initial propagation. Satisfying assignments are verified
-    against every clause before being returned.
+    Two watched literals, 1-UIP learning with non-chronological backjumps,
+    VSIDS on a heap (ties to the lowest variable) with phase saving (True
+    first), and restarts after 100 times the Luby sequence of conflicts. A
+    time budget (seconds, None for none) is checked only when a decision is
+    due: expiry returns "unknown", and 0 leaves only the initial propagation.
+    A satisfying assignment is verified against every clause.
     """
     if time_budget is not None and not time_budget >= 0:
         raise PosetError("time budget must be a number >= 0, got %r" % (time_budget,))
@@ -307,124 +326,137 @@ def solve_cnf(cnf, time_budget=None):
     nv = cnf.num_vars
     clauses = []
     for c in cnf.clauses:
-        lits = tuple(dict.fromkeys(c))
-        for l in lits:
-            if l == 0 or abs(l) > nv:
-                raise PosetError("literal %d out of range" % l)
+        lits = list(dict.fromkeys(c))
+        if lits and (0 in lits or min(lits) < -nv or max(lits) > nv):
+            raise PosetError("literal %d out of range" % next(l for l in lits if not 0 < abs(l) <= nv))
         clauses.append(lits)
+    stats = dict(decisions=0, conflicts=0, propagations=0, restarts=0, learnt=0)
+    learnts = []
+    # Lists indexed by a signed literal l; a negative l wraps to the upper half.
+    value = [0] * (2 * nv + 1)  # 1 true, -1 false, 0 free
+    watches = [[] for _ in value]  # clauses with l in position 0 or 1
+    level, reason = [0] * (nv + 1), [None] * (nv + 1)
+    act, phase = [0.0] * (nv + 1), [True] * (nv + 1)
+    heap = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, variable), stale entries skipped
+    trail, trail_lim = [], []
+    qhead, inc, next_restart = 0, 1.0, 100
 
-    watch_of = {}
-    watched = []
-    init_units = []
-    for ci, c in enumerate(clauses):
-        if len(c) == 0:
-            return SatResult("unsat")
-        if any(-l in c for l in c):
-            watched.append(None)
-            continue
-        if len(c) == 1:
-            init_units.append(c[0])
-            watched.append(None)
-            continue
-        watched.append([c[0], c[1]])
-        watch_of.setdefault(c[0], []).append(ci)
-        watch_of.setdefault(c[1], []).append(ci)
+    def assign(lit, why):
+        value[lit], value[-lit] = 1, -1
+        level[abs(lit)], reason[abs(lit)] = len(trail_lim), why
+        trail.append(lit)
 
-    val = [None] * (nv + 1)
-    trail = []
-
-    def lit_value(l):
-        v = val[abs(l)]
-        if v is None:
-            return None
-        return v if l > 0 else not v
-
-    def enqueue(l, kind):
-        val[abs(l)] = l > 0
-        trail.append((l, kind))
-
-    ticks = 0
-
-    def propagate(start):
-        nonlocal ticks
-        i = start
-        while i < len(trail):
-            lit = trail[i][0]
-            i += 1
-            ticks += 1
-            false_lit = -lit
-            pending = watch_of.get(false_lit, ())
-            kept = []
-            conflict = False
-            for pos, ci in enumerate(pending):
-                pair = watched[ci]
-                other = pair[0] if pair[1] == false_lit else pair[1]
-                if lit_value(other) is True:
-                    kept.append(ci)
+    def propagate():
+        """Unit propagation from qhead; returns a falsified clause or None."""
+        nonlocal qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            stats["propagations"] += 1
+            ws = watches[false_lit]
+            watches[false_lit] = kept = []
+            for pos, c in enumerate(ws):
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                first = c[0]
+                if value[first] == 1:
+                    kept.append(c)
                     continue
-                repl = None
-                for cand in clauses[ci]:
-                    if cand != other and cand != false_lit and lit_value(cand) is not False:
-                        repl = cand
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if value[lit] != -1:
+                        c[1], c[k] = lit, false_lit
+                        watches[lit].append(c)
                         break
-                if repl is not None:
-                    pair[0 if pair[0] == false_lit else 1] = repl
-                    watch_of.setdefault(repl, []).append(ci)
-                    continue
-                kept.append(ci)
-                ov = lit_value(other)
-                if ov is None:
-                    enqueue(other, "implied")
-                elif ov is False:
-                    kept.extend(pending[pos + 1 :])
-                    conflict = True
-                    break
-            watch_of[false_lit] = kept
-            if conflict:
-                return True
-        return False
+                else:
+                    kept.append(c)
+                    if value[first] == -1:
+                        kept.extend(ws[pos + 1 :])
+                        return c
+                    assign(first, c)
+        return None
 
-    def backtrack():
-        while trail:
-            lit, kind = trail.pop()
-            val[abs(lit)] = None
-            if kind == "decision":
-                enqueue(-lit, "flipped")
-                return True
-        return False
+    def cancel(lvl):
+        """Undo every assignment above a decision level, saving phases."""
+        nonlocal qhead
+        if len(trail_lim) > lvl:
+            for lit in trail[trail_lim[lvl] :]:
+                value[lit] = value[-lit] = 0
+                phase[abs(lit)] = lit > 0
+                heapq.heappush(heap, (-act[abs(lit)], abs(lit)))
+            del trail[trail_lim[lvl] :], trail_lim[lvl:]
+        qhead = len(trail)
 
-    for u in init_units:
-        v = lit_value(u)
-        if v is False:
-            return SatResult("unsat")
-        if v is None:
-            enqueue(u, "implied")
-    if propagate(0):
-        while True:
-            if not backtrack():
-                return SatResult("unsat")
-            if not propagate(len(trail) - 1):
-                break
-
-    next_var = 1
-    while True:
-        while next_var <= nv and val[next_var] is not None:
-            next_var += 1
-        if next_var > nv:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            return SatResult("unknown")
-        enqueue(next_var, "decision")
-        while propagate(len(trail) - 1):
-            if not backtrack():
-                return SatResult("unsat")
-        next_var = 1
-
-    assignment = {v: bool(val[v]) for v in range(1, nv + 1)}
     for c in clauses:
-        if not any((assignment[abs(l)] if l > 0 else not assignment[abs(l)]) for l in c):
+        if len(set(map(abs, c))) < len(c):
+            continue  # a tautology
+        if len(c) > 1:
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
+        elif not c or value[c[0]] == -1:
+            return SatResult("unsat", stats=stats, learnt=learnts)
+        elif not value[c[0]]:
+            assign(c[0], None)
+    while True:
+        confl = propagate()
+        if confl is not None:
+            stats["conflicts"] += 1
+            if not trail_lim:
+                return SatResult("unsat", stats=stats, learnt=learnts)
+            # 1-UIP: resolve along the trail until one literal of this level is left.
+            learnt, seen, pending, idx = [0], set(), 0, len(trail)
+            while True:
+                for q in confl:
+                    v = abs(q)
+                    if v not in seen and level[v]:
+                        seen.add(v)
+                        act[v] += inc
+                        if level[v] == len(trail_lim):
+                            pending += 1
+                        else:
+                            learnt.append(q)
+                idx -= 1
+                while abs(trail[idx]) not in seen:
+                    idx -= 1
+                pending -= 1
+                if not pending:
+                    break
+                confl = reason[abs(trail[idx])]
+            learnt[0] = -trail[idx]
+            learnt[1:] = sorted(learnt[1:], key=lambda q: -level[abs(q)])
+            cancel(level[abs(learnt[1])] if len(learnt) > 1 else 0)
+            if len(learnt) > 1:
+                watches[learnt[0]].append(learnt)
+                watches[learnt[1]].append(learnt)
+            assign(learnt[0], learnt)
+            learnts.append(learnt)
+            stats["learnt"] += 1
+            inc /= 0.95
+            continue
+        if len(trail) == nv:
+            break
+        if stats["conflicts"] >= next_restart:
+            stats["restarts"] += 1
+            next_restart = stats["conflicts"] + 100 * _luby(stats["restarts"] + 1)
+            cancel(0)
+        if deadline is not None and time.monotonic() >= deadline:
+            return SatResult("unknown", stats=stats)
+        if inc > 1e100 or len(heap) > 4 * nv:  # rescale, and drop stale heap entries
+            if inc > 1e100:
+                act, inc = [a * 1e-100 for a in act], inc * 1e-100
+            heap[:] = sorted((-act[v], v) for v in range(1, nv + 1) if not value[v])
+        a, v = heapq.heappop(heap)
+        while value[v] or -a != act[v]:
+            a, v = heapq.heappop(heap)
+        stats["decisions"] += 1
+        trail_lim.append(len(trail))
+        assign(v if phase[v] else -v, None)
+
+    assignment = {v: value[v] == 1 for v in range(1, nv + 1)}
+    for c in clauses:
+        if not any(assignment[abs(l)] == (l > 0) for l in c):
             raise PosetError("internal error: solver produced a non-satisfying assignment")
-    return SatResult("sat", assignment)
+    return SatResult("sat", assignment, stats)
 
 
 def assignment_to_colouring(assignment, n):

@@ -299,6 +299,14 @@ def test_criterion_08():
     _check_budget(t0, 300.0, "criterion 8")
 
 
+def test_criterion_08_dimension_six_unsat():
+    """The 6-cube arrows the layered poset C(2,1,2) with itself."""
+    t0 = time.monotonic()
+    cnf = encode_avoidance(boolean_lattice(6), layered([2, 1, 2]), mode="all-weak")
+    assert solve_cnf(cnf).status == "unsat"
+    _check_budget(t0, 30.0, "criterion 8 unsat")
+
+
 @pytest.mark.extended
 @pytest.mark.skipif(
     os.environ.get("RANDPOSET_EXTENDED") != "1",

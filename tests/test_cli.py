@@ -99,7 +99,8 @@ def test_cstar_crossed_bracket_exits_unconverged(capsys, monkeypatch):
     code, out, _ = run(capsys, "cstar", "v")
     assert code == 3
     assert "note: bracket crossed" in out
-    assert "UNCONVERGED" in out
+    assert "UNCONVERGED: bracket crossed" in out
+    assert "bracket width -" not in out
 
 
 def test_classify_text_and_json(capsys):

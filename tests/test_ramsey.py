@@ -2,7 +2,9 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randposet.posets import (
     CapacityError,
@@ -53,6 +55,58 @@ def php_formula(pigeons, holes):
         for p, q in itertools.combinations(range(pigeons), 2):
             clauses.append((-var(p, h), -var(q, h)))
     return CnfFormula(pigeons * holes, clauses)
+
+
+def brute_sat(cnf):
+    """Satisfiability by trying all 2^n assignments."""
+    return any(
+        all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in cnf.clauses)
+        for bits in itertools.product((False, True), repeat=cnf.num_vars)
+    )
+
+
+def literal_matrix(clauses):
+    """Clauses as rows of distinct literals, padded with 0."""
+    rows = [list(dict.fromkeys(c)) for c in clauses]
+    width = max(map(len, rows))
+    return np.array([r + [0] * (width - len(r)) for r in rows])
+
+
+def propagates_to_conflict(lits, num_vars, assumed=()):
+    """Whether unit propagation from the assumed literals falsifies a row.
+
+    ``lits`` is a literal matrix; its padding 0 is a literal that is always
+    false. Each round assigns the free literal of every unit row.
+    """
+    cells = lits % (2 * num_vars + 1)  # -l wraps to the upper half, 0 stays 0
+    val = np.zeros(2 * num_vars + 1, dtype=np.int8)
+    val[0] = -1
+    pending = list(assumed)
+    while True:
+        for l in pending:
+            if val[l] == -1:
+                return True
+            val[l], val[-l] = 1, -1
+        v = val[cells]
+        open_rows = ~(v == 1).any(axis=1)
+        free = (v == 0).sum(axis=1)
+        if (open_rows & (free == 0)).any():
+            return True
+        unit = open_rows & (free == 1)
+        if not unit.any():
+            return False
+        pending = list(dict.fromkeys(lits[unit][v[unit] == 0].tolist()))
+
+
+def check_refutation(cnf, learnt):
+    """Reverse unit propagation: every learnt clause follows from the clauses
+    before it, and all of them together propagate to the empty clause."""
+    lits = literal_matrix(list(cnf.clauses) + list(learnt))
+    base = len(cnf.clauses)
+    for i, clause in enumerate(learnt):
+        assert clause, "an empty learnt clause"
+        assert propagates_to_conflict(lits[: base + i], cnf.num_vars, [-l for l in clause]), clause
+    assert propagates_to_conflict(lits, cnf.num_vars)
 
 
 # -- arrow search -----------------------------------------------------------------
@@ -293,6 +347,61 @@ def test_solver_zero_time_budget_leaves_only_propagation():
     assert solve_cnf(php_formula(7, 6), time_budget=0).status == "unknown"
     assert solve_cnf(CnfFormula(2, [(1,), (-1, 2)]), time_budget=0).status == "sat"
     assert solve_cnf(CnfFormula(2, [(1,), (-1, 2), (-2,)]), time_budget=0).status == "unsat"
+
+
+@pytest.mark.parametrize("case", ["php(4,3)", "B6/C(2,1,2)"])
+def test_unsat_answers_are_rechecked_by_unit_propagation(case):
+    if case == "php(4,3)":
+        cnf = php_formula(4, 3)
+    else:
+        cnf = encode_avoidance(boolean_lattice(6), layered([2, 1, 2]))
+    res = solve_cnf(cnf)
+    assert res.status == "unsat"
+    assert res.learnt
+    check_refutation(cnf, res.learnt)
+
+
+def test_refutation_checker_rejects_a_clause_that_does_not_follow():
+    cnf = php_formula(4, 3)
+    assert not propagates_to_conflict(literal_matrix(cnf.clauses), cnf.num_vars, [-1])
+    with pytest.raises(AssertionError):
+        check_refutation(cnf, [(1,)])
+
+
+def test_solver_stats_count_the_search():
+    res = solve_cnf(php_formula(5, 4))
+    assert res.status == "unsat"
+    stats = res.stats
+    assert set(stats) == {"decisions", "conflicts", "propagations", "restarts", "learnt"}
+    assert stats["conflicts"] >= stats["learnt"] == len(res.learnt) > 0
+    assert stats["decisions"] > 0 and stats["propagations"] > stats["decisions"]
+    sat = solve_cnf(php_formula(3, 3))
+    assert sat.learnt is None and sat.stats["decisions"] > 0
+
+
+@st.composite
+def small_cnfs(draw):
+    """Random 3-CNFs near the satisfiability threshold, with a few extra
+    clauses of 1-5 literals (units, repeated literals, tautologies) and
+    sometimes the empty clause, in shuffled order."""
+    n = draw(st.integers(0, 10))
+    if n == 0:
+        return CnfFormula(0, draw(st.lists(st.just(()), max_size=1)))
+    literal = st.sampled_from([l for l in range(-n, n + 1) if l])
+    clauses = draw(st.lists(st.tuples(literal, literal, literal), min_size=3 * n, max_size=5 * n))
+    clauses += draw(st.lists(st.lists(literal, min_size=1, max_size=5).map(tuple), max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        clauses.append(())
+    return CnfFormula(n, draw(st.permutations(clauses)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cnfs())
+def test_solver_agrees_with_enumeration(cnf):
+    res = solve_cnf(cnf)
+    assert res.status == ("sat" if brute_sat(cnf) else "unsat")
+    if res.status == "sat":
+        assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in cnf.clauses)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0])
