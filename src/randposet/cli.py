@@ -81,6 +81,12 @@ def _emit(args, record, human_lines):
             print(line)
 
 
+def _emit_stats(args, stats):
+    """With --stats, the optimizer's stats as one JSON document on stderr."""
+    if args.stats:
+        print(json.dumps(stats, indent=2), file=sys.stderr)
+
+
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -132,6 +138,7 @@ def _cmd_cstar(args):
     record = rep.to_json_dict()
     record["converged"] = rep.converged
     _emit(args, record, _report_lines(args, rep, poset))
+    _emit_stats(args, rep.stats)
     return EXIT_OK if rep.converged else EXIT_UNCONVERGED
 
 
@@ -207,6 +214,7 @@ def _cmd_table1(args):
     if args.rows:
         wanted = {r.strip().lower() for r in args.rows.split(",")}
     records = []
+    stats = []
     lines = [
         "%-14s %-26s %-26s %-9s %-9s %s"
         % ("name", "computed", "reference", "class", "ref", "flag")
@@ -235,6 +243,7 @@ def _cmd_table1(args):
         if not rep.converged:
             flags.append("unconverged")
             worst = EXIT_UNCONVERGED
+        stats.append({"name": name, "stats": rep.stats})
         records.append(
             {
                 "name": name,
@@ -250,6 +259,7 @@ def _cmd_table1(args):
             % (name, computed_txt, reference_txt, got_class, ref_class, ";".join(flags))
         )
     _emit(args, {"rows": records}, lines)
+    _emit_stats(args, {"rows": stats})
     return worst
 
 
@@ -419,6 +429,7 @@ def _build_parser():
     p.add_argument("poset")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=6000)
+    p.add_argument("--stats", action="store_true", help="optimizer stats as JSON on stderr")
 
     p = add("classify", _cmd_classify, "uniform/balanced/general classification")
     p.add_argument("poset")
@@ -434,6 +445,7 @@ def _build_parser():
     p.add_argument("--rows", default=None, help="comma list of row names to include")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--value-tol", type=float, default=1e-4)
+    p.add_argument("--stats", action="store_true", help="optimizer stats as JSON on stderr, one entry a row")
 
     p = add("ramsey-bounds", _cmd_ramsey_bounds, "exponent bounds for a pattern pair")
     p.add_argument("--p", required=True)

@@ -31,6 +31,9 @@ from .posets import (
 from .correspondence import shadow_indices
 
 DEFAULT_SIZE_CAP = 14
+# The mirror ascent iterates on the subposets whose exponent was within this
+# margin of the minimum at the last full-table evaluation.
+WS_MARGIN = 0.05
 
 
 def entropy(alpha):
@@ -56,7 +59,10 @@ class ExponentTable:
     shadow in the subposet ``q_masks[qi]``, numbered within that subposet's
     antichains and shifted by ``seg_offsets[qi]``. Evaluating every subposet
     exponent for one weighting is then a single weighted bincount over the
-    flattened array followed by segmented entropy sums.
+    flattened array followed by segmented entropy sums, so one call costs
+    time in proportion to m·(2^n − 1) cells. ``restrict`` gives the same
+    table over a subset of the rows; ``c_star`` iterates on such a working
+    set and calls the full table only to refresh and certify it.
     """
 
     __slots__ = ("poset", "family", "q_masks", "sizes", "index", "seg_offsets", "total_len")
@@ -81,6 +87,19 @@ class ExponentTable:
             family = antichains(poset)
         q_masks = list(range(1, 1 << poset.n))
         return cls(poset, family, q_masks, *shadow_indices(family, q_masks))
+
+    def restrict(self, rows):
+        """The table over the subposets ``q_masks[r]`` for r in rows, in that order.
+
+        Each row keeps its shadow map, so ``values`` and ``gradient`` of the
+        restricted table agree bit for bit with those rows of this one.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        sigma = self.index[rows] - self.seg_offsets[rows, None]
+        sub_counts = np.diff(self.seg_offsets)[rows]
+        return ExponentTable(
+            self.poset, self.family, [self.q_masks[r] for r in rows], sigma, sub_counts
+        )
 
     def sigma(self, q_index):
         """Shadow index map into one subposet, numbered within its antichains."""
@@ -174,6 +193,14 @@ class CriticalExponentReport:
     tolerance: float
     converged: bool
     notes: list = field(default_factory=list)
+    # How the optimizer got there, kept out of the JSON record:
+    # "full_evaluations" counts the full-table evaluations c_star makes
+    # itself (those inside the KKT polish and the LP bound are not
+    # counted), and "polls" holds one dict per poll of the ascent with its
+    # full evaluations, largest working set, working-set misses and the
+    # bracket width after it. A disconnected poset lists its components'
+    # stats under "components".
+    stats: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         """The stable machine-readable record."""
@@ -212,7 +239,11 @@ class Classification:
 # -- the optimizer -------------------------------------------------------------
 
 
-def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=120):
+# The dual bound uses at most this many subposets.
+_DUAL_MAX_TERMS = 120
+
+
+def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=_DUAL_MAX_TERMS):
     """Certified upper bound from supergradients at (a slightly interior) alpha.
 
     For weights lambda on the simplex over a set of subposets, concavity of
@@ -257,6 +288,16 @@ def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=120):
     # bracket, so a bracket that is tight at the optimum does not cross.
     scale = float(head.sum() + (np.abs(grads) @ lam).max())
     return math.nextafter(bound + (k + m + 4) * np.finfo(float).eps * scale, math.inf)
+
+
+def _allowance_cap(m, upper):
+    """The largest roundoff allowance ``_dual_upper_bound`` adds below ``upper``.
+
+    There k <= _DUAL_MAX_TERMS, and scale <= bound + 2 <= upper + 2, since
+    every gradient entry is at least -1/|Q| and the weights lambda_q / |Q_q|
+    sum to at most 1.
+    """
+    return (_DUAL_MAX_TERMS + m + 4) * np.finfo(float).eps * (upper + 2.0)
 
 
 def _kkt_polish(table, alpha, active_tol=1e-4, max_active=48, rounds=6):
@@ -477,11 +518,20 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
     """Certified max-min containment exponent of a poset.
 
     Entropic mirror ascent over the antichain simplex and a Newton polish on
-    the detected active set find the certificate. The bracket comes from
-    that certificate and the LP dual alone: the lower bound is the objective
-    at the certificate, the upper bound is ``_dual_upper_bound`` recomputed
-    from the dual multipliers. A crossed bracket is reported, not clamped.
-    Disconnected posets decompose as the minimum over their components.
+    the detected active set find the certificate. The ascent steps on a
+    working set, the subposets within ``WS_MARGIN`` of the minimum at the
+    last full-table evaluation. A full evaluation refreshes the set after a
+    gap that doubles, up to the poll length, while the set holds the full
+    minimum, and drops back to 1 on a miss. Each poll of 200 steps ends with
+    a full evaluation of its best iterate by working-set minimum, then the
+    polish and the LP bound, which evaluate the full table themselves.
+
+    The bracket comes from the certificate and the LP dual alone: the lower
+    bound is the objective over all subposets at the certificate, the upper
+    bound is ``_dual_upper_bound`` recomputed from the dual multipliers. A
+    crossed bracket is reported, not clamped. Disconnected posets decompose
+    as the minimum over their components. ``stats`` on the report counts
+    the work (see ``CriticalExponentReport``).
     """
     if poset.n == 0:
         raise PosetError("exponent of the empty poset is undefined")
@@ -510,55 +560,89 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
         except PosetError:
             pass
 
+    # best_val and best_alpha change only in try_improvements, after a
+    # full-table evaluation, so the lower bound stays the objective over
+    # every subposet.
     best_alpha = None
     best_val = -math.inf
-    for alpha0 in starts:
-        v = table.objective(alpha0)
-        if v > best_val:
-            best_val, best_alpha = v, alpha0
-
-    upper = _dual_upper_bound(table, best_alpha)
-    iterations = 0
-    alpha = np.array(best_alpha, dtype=float)
+    full_evaluations = 0
 
     def try_improvements(candidate):
-        nonlocal best_val, best_alpha
+        nonlocal best_val, best_alpha, full_evaluations
         if candidate is None:
             return
+        full_evaluations += 1
         v = table.objective(candidate)
         if v > best_val:
             best_val = v
             best_alpha = candidate
 
+    for alpha0 in starts:
+        try_improvements(alpha0)
+    upper = _dual_upper_bound(table, best_alpha)
+    iterations = 0
+    alpha = np.array(best_alpha, dtype=float)
+
     poll = 200
     eta0 = 0.5
+    polls = []
+    rows = None
+    gap = 1
+    next_refresh = 1
     while upper - best_val > tol and iterations < max_iter:
+        evaluations_before = full_evaluations
+        record = {"working_set": 0, "misses": 0}
+        ws_best_val, ws_best_alpha = -math.inf, None
         for _ in range(poll):
             iterations += 1
-            vals = table.values(alpha)
-            g = float(vals.min())
-            if g > best_val:
-                best_val = g
-                best_alpha = alpha.copy()
+            if iterations >= next_refresh:
+                full_evaluations += 1
+                vals = table.values(alpha)
+                g = float(vals.min())
+                if rows is not None:
+                    if vals[rows].min() == g:
+                        gap = min(2 * gap, poll)
+                    else:
+                        gap = 1
+                        record["misses"] += 1
+                next_refresh = iterations + gap
+                rows = np.flatnonzero(vals <= g + WS_MARGIN)
+                ws = table.restrict(rows)
+                vals = vals[rows]
+                record["working_set"] = max(record["working_set"], len(rows))
+            else:
+                vals = ws.values(alpha)
+                g = float(vals.min())
+            if g > ws_best_val:
+                ws_best_val = g
+                ws_best_alpha = alpha.copy()
             active = np.where(vals <= g + 1e-9)[0]
             grad = np.zeros(m)
             for qi in active:
-                grad += table.gradient(alpha, qi)
+                grad += ws.gradient(alpha, qi)
             grad /= len(active)
             eta = eta0 / math.sqrt(iterations)
             logs = np.log(np.maximum(alpha, 1e-300)) + eta * (grad - grad.max())
             logs -= logs.max()
             alpha = np.exp(logs)
             alpha /= alpha.sum()
-        try_improvements(alpha)
+        if ws.objective(alpha) > ws_best_val:
+            ws_best_alpha = alpha
+        try_improvements(ws_best_alpha)
         try_improvements(_kkt_polish(table, best_alpha))
+        record["full_evaluations"] = full_evaluations - evaluations_before
         upper = min(upper, _dual_upper_bound(table, best_alpha))
+        record["bracket_width"] = upper - best_val
+        polls.append(record)
 
-    # One last polish and certification round for fast-converging cases.
-    if upper - best_val > 1e-15:
+    # One last polish and certification round for fast-converging cases,
+    # skipped when the bracket is already within the dual's roundoff.
+    if upper - best_val > _allowance_cap(m, upper):
         try_improvements(_kkt_polish(table, best_alpha))
         upper = min(upper, _dual_upper_bound(table, best_alpha))
-    return _report(poset, family, table, name, best_alpha, upper, iterations, tol, notes)
+    rep = _report(poset, family, table, name, best_alpha, upper, iterations, tol, notes)
+    rep.stats = {"full_evaluations": full_evaluations, "polls": polls}
+    return rep
 
 
 def _c_star_disconnected(poset, comps, tol, max_iter, name):
@@ -576,7 +660,7 @@ def _c_star_disconnected(poset, comps, tol, max_iter, name):
         alpha *= np.asarray(rep.certificate)[sigma]
     alpha = np.maximum(alpha, 0)
     alpha /= alpha.sum()
-    return _report(
+    rep = _report(
         poset,
         family,
         ExponentTable.build(poset, family),
@@ -587,6 +671,11 @@ def _c_star_disconnected(poset, comps, tol, max_iter, name):
         tol,
         ["component decomposition over %d components" % len(comps)],
     )
+    rep.stats = {
+        "full_evaluations": sum(r.stats["full_evaluations"] for r in reports),
+        "components": [r.stats for r in reports],
+    }
+    return rep
 
 
 def _report(poset, family, table, name, alpha, upper, iterations, tol, notes):

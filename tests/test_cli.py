@@ -103,6 +103,29 @@ def test_cstar_crossed_bracket_exits_unconverged(capsys, monkeypatch):
     assert "bracket width -" not in out
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_cstar_stats_go_to_stderr_only(capsys, extra):
+    code, plain, err = run(capsys, "cstar", "y'", *extra)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "cstar", "y'", "--stats", *extra)
+    assert code == 0
+    assert out == plain
+    stats = json.loads(err)
+    assert stats["full_evaluations"] >= len(stats["polls"]) >= 1
+    assert set(stats["polls"][0]) == {"full_evaluations", "working_set", "misses", "bracket_width"}
+
+
+def test_table1_stats_name_each_row(capsys):
+    code, plain, _ = run(capsys, "table1", "--rows", "C(2),V")
+    code, out, err = run(capsys, "table1", "--rows", "C(2),V", "--stats")
+    assert code == 0
+    assert out == plain
+    rows = json.loads(err)["rows"]
+    assert [r["name"] for r in rows] == ["C(2)", "V"]
+    # C(2) is certified at the uniform start without an ascent.
+    assert rows[0]["stats"]["polls"] == [] and len(rows[1]["stats"]["polls"]) == 1
+
+
 def test_classify_text_and_json(capsys):
     code, out, _ = run(capsys, "classify", "chain:2")
     assert code == 0

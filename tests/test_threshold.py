@@ -260,6 +260,57 @@ def test_crossed_bracket_is_reported_not_clamped(monkeypatch):
     assert any(note.startswith("bracket crossed") for note in rep.notes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10 ** 6), st.data())
+def test_restricted_table_agrees_bit_for_bit(n, seed, data):
+    rng = random.Random(seed)
+    table = ExponentTable.build(random_poset(rng, n, density=rng.random()))
+    m = len(table.family)
+    alpha = np.random.default_rng(seed).dirichlet(np.full(m, rng.choice([0.1, 1.0, 5.0])))
+    rows = data.draw(
+        st.lists(st.integers(0, len(table.q_masks) - 1), min_size=1, max_size=40, unique=True)
+    )
+    sub = table.restrict(rows)
+    assert sub.q_masks == [table.q_masks[r] for r in rows]
+    assert np.array_equal(sub.values(alpha), table.values(alpha)[rows])
+    for local, r in enumerate(rows):
+        assert np.array_equal(sub.sigma(local), table.sigma(r))
+        assert np.array_equal(sub.gradient(alpha, local), table.gradient(alpha, r))
+
+
+def test_ascent_on_a_working_set_keeps_the_iterates():
+    # stats counts the full-table evaluations c_star makes itself. Before the
+    # working set, the ascent alone made one per iteration (2,400 here).
+    rep = c_star(catalog("y''"))
+    assert rep.iterations == 2400
+    assert rep.value == pytest.approx(0.3891404496365489, abs=1e-12)
+    assert rep.stats["full_evaluations"] <= 60
+    assert len(rep.stats["polls"]) == 12
+    assert all(rec["working_set"] < 1023 for rec in rep.stats["polls"])
+    assert rep.stats["polls"][-1]["bracket_width"] <= 1e-6
+
+
+def test_polish_sensitive_poset_keeps_its_iteration_count():
+    # _kkt_solve lands on different Newton points from inputs that differ in
+    # the last bits; on this poset that once cost 200 more iterations.
+    p = Poset(7, [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (2, 3), (2, 4), (3, 4), (3, 6), (5, 6)])
+    rep = c_star(p)
+    assert rep.converged and rep.iterations <= 600
+    assert rep.value == pytest.approx(0.3891411377303702, abs=1e-12)
+
+
+def test_start_within_roundoff_skips_the_last_polish(monkeypatch):
+    calls = []
+    polish = threshold._kkt_polish
+    monkeypatch.setattr(threshold, "_kkt_polish", lambda *a: calls.append(1) or polish(*a))
+    rep = c_star(chain(3))
+    assert rep.iterations == 0 and rep.converged
+    assert calls == []
+    assert rep.upper_bound - rep.lower_bound <= threshold._allowance_cap(4, rep.upper_bound)
+    # The uniform and the balanced start, and nothing after them.
+    assert rep.stats == {"full_evaluations": 2, "polls": []}
+
+
 def test_objective_concavity():
     rng = random.Random(3)
     for p in (boolean_lattice(2), vee(), double_diamond()):
