@@ -19,7 +19,6 @@ from .posets import (
     PosetError,
     antichains,
     catalog,
-    load_poset,
     parse_poset_arg,
 )
 from . import correspondence, ramsey, simulate, threshold
@@ -266,7 +265,7 @@ def _cmd_table1(args):
 def _cmd_ramsey_bounds(args):
     first = _family_arg(args.p)
     second = _family_arg(args.q)
-    h_poset = load_poset(args.h_poset) if args.h_poset else None
+    h_poset = _poset(args.h_poset) if args.h_poset else None
     rep = ramsey.exponent_bounds(first, second, h_poset=h_poset)
     lines = []
     if rep.exact is not None:
@@ -450,7 +449,7 @@ def _build_parser():
     p = add("ramsey-bounds", _cmd_ramsey_bounds, "exponent bounds for a pattern pair")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--h-poset", default=None, help="poset file for the known lower-bound host")
+    p.add_argument("--h-poset", default=None, help="lower-bound host: catalog spelling or poset file")
 
     p = add("arrows", _cmd_arrows, "decide whether a host arrows a pattern pair (SAT)")
     p.add_argument("--host", required=True)
@@ -503,7 +502,7 @@ def main(argv=None):
     except CapacityError as err:
         print("capacity error: %s" % err, file=sys.stderr)
         return EXIT_CAPACITY
-    except PosetError as err:
+    except (PosetError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
 

@@ -774,8 +774,3 @@ def parse_poset_arg(arg):
         "%r is neither a catalog poset (chain:T, boolean:D, layered:..., V, "
         "lambda, Y, T2, fish, DD, diamond, ...) nor a readable file" % arg
     )
-
-
-def poset_key(poset):
-    """Hashable identity of a poset's order, for caches."""
-    return (poset.n, poset.above)

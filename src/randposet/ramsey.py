@@ -6,8 +6,14 @@ second (weak subposet copies by default). Each arrow question becomes a CNF
 over one variable per host element, one clause per copy that
 correspondence.copy_blocks finds among the host's down-set masks, solved by
 an embedded CDCL solver. Avoidance in subset lattices is encoded the same
-way, and Ramsey threshold exponents are bounded via product and tower
-constructions plus a catalog of known pairs.
+way.
+
+Ramsey threshold exponents are bracketed by c* values: a host that arrows
+the pair gives a lower bound, a colouring of the random poset that avoids it
+an upper bound. For single patterns the lexicographic product is the generic
+host and the tower the one colouring construction; two chains are exact by
+pigeonhole. Everything else the paper knows sits in one table,
+``_KNOWN_HOSTS``, matched up to colour swap and order reversal.
 """
 
 from __future__ import annotations
@@ -25,22 +31,13 @@ from .posets import (
     PosetError,
     antichains,
     boolean_lattice,
+    catalog,
     chain,
     contains_copy,
     is_isomorphic,
-    layered,
     lex_product,
     reverse,
     tower,
-    vee,
-    wedge,
-    wedge_prime,
-    y_poset,
-    y_prime,
-    y_double_prime,
-    binary_tree_2,
-    double_diamond,
-    diamond,
     _embeddings,
 )
 from .correspondence import copy_blocks
@@ -499,19 +496,49 @@ def _chain_length(poset):
     return None
 
 
-def _pair_variants(p, q):
-    """The pattern pairs equivalent to (p, q) by colour swap and reversal."""
-    rp, rq = reverse(p), reverse(q)
-    return [(p, q), (q, p), (rp, rq), (rq, rp)]
+# Known pairs: first side, second side, catalog poset, provenance, and the
+# ends of the bracket the poset's c* gives ("lower" for a host, "upper" for a
+# colouring, "exact" for both). Sides are catalog spellings; a comma list is
+# a family. A row matches up to colour swap and order reversal. A row without
+# a poset names a pair whose host is unknown; its provenance is a note, shown
+# unless the caller supplies a host.
+_KNOWN_HOSTS = (
+    ("v", "v", "t2", "depth-2 binary tree (exact)", "exact"),
+    ("chain:2", "v", "y'", "Y-prime host", "lower"),
+    ("lambda", "v", "layered:2,3,2", "C(2,3,2) host", "lower"),
+    ("chain:3", "v", "y''", "Y-double-prime host", "lower"),
+    ("diamond", "chain:2", "dd", "double diamond host", "lower"),
+    ("diamond", "diamond", None, "lower bound host unavailable (supply it as a poset file)", "lower"),
+    ("v,lambda", "v,lambda", "layered:2,1,2", "C(2,1,2) host", "lower"),
+    ("v,lambda", "chain:2", "lambda'", "wedge-prime colouring", "upper"),
+)
+
+
+def _is_side(patterns, spelling):
+    """True when a family equals the catalog side up to isomorphism of members."""
+    members = [catalog(part) for part in spelling.split(",")]
+    return (
+        len(patterns) == len(members)
+        and all(any(is_isomorphic(p, m) for m in members) for p in patterns)
+        and all(any(is_isomorphic(p, m) for p in patterns) for m in members)
+    )
+
+
+def _pair_variants(firsts, seconds):
+    """The family pairs equivalent to (firsts, seconds) by colour swap and reversal."""
+    rf, rs = [reverse(p) for p in firsts], [reverse(p) for p in seconds]
+    return [(firsts, seconds), (seconds, firsts), (rf, rs), (rs, rf)]
 
 
 def exponent_bounds(first, second, h_poset=None):
     """Best known bracket for the Ramsey threshold exponents of a pair.
 
-    Combines the generic constructions (lexicographic product host for the
-    lower bound, tower colouring for the upper bound) with the catalog of
-    known pairs; each bound carries a provenance string naming the
-    construction poset. Families are supported for the {V, wedge} results.
+    For single patterns the lexicographic product host gives a lower bound,
+    the tower colouring an upper bound, and two chains of lengths s and t the
+    exact value c*(chain(s + t - 1)) by pigeonhole. Single patterns and
+    families alike then take their row of ``_KNOWN_HOSTS``, and a supplied
+    ``h_poset`` is one more lower-bound host. Each bound carries a
+    provenance string.
     """
     firsts = _family(first)
     seconds = _family(second)
@@ -534,87 +561,33 @@ def exponent_bounds(first, second, h_poset=None):
             notes.append("lexicographic product too large for the exponent cap")
         for a, b in ((p, q), (q, p)):
             if len(a.maximal_elements()) == 1 and len(b.minimal_elements()) == 1:
-                rep = threshold.c_star(tower(a, b), name="tower colouring")
-                upper_cands.append((rep.value, "tower colouring"))
+                tower_value = threshold.c_star(tower(a, b), name="tower colouring").value
+                upper_cands.append((tower_value, "tower colouring"))
                 break
         else:
             notes.append("tower undefined (no unique max/min pairing)")
+        if _chain_length(p) and _chain_length(q):
+            exact = tower_value  # the tower of two chains is chain(s + t - 1)
+            lower_cands.append((exact, "chain pigeonhole (exact)"))
+            upper_cands.append((exact, "chain pigeonhole (exact)"))
 
-        for pp, qq in _pair_variants(p, q):
-            s = _chain_length(pp)
-            t = _chain_length(qq)
-            if s is not None and t is not None:
-                val = threshold.c_star(chain(s + t - 1), name="chain host").value
-                exact = val
-                lower_cands.append((val, "chain pigeonhole (exact)"))
-                upper_cands.append((val, "chain pigeonhole (exact)"))
-                break
-            if is_isomorphic(pp, vee()) and is_isomorphic(qq, vee()):
-                val = threshold.c_star(binary_tree_2(), name="binary tree host").value
-                exact = val
-                lower_cands.append((val, "depth-2 binary tree (exact)"))
-                upper_cands.append((val, "depth-2 binary tree (exact)"))
-                break
-            if s == 2 and is_isomorphic(qq, vee()):
-                lower_cands.append((threshold.c_star(y_prime(), name="Y'").value, "Y-prime host"))
-                upper_cands.append((threshold.c_star(y_poset(), name="Y").value, "Y colouring"))
-                break
-            if is_isomorphic(pp, wedge()) and is_isomorphic(qq, vee()):
-                lower_cands.append(
-                    (threshold.c_star(layered([2, 3, 2]), name="C(2,3,2)").value, "C(2,3,2) host")
-                )
-                upper_cands.append(
-                    (threshold.c_star(layered([2, 1, 2]), name="C(2,1,2)").value, "C(2,1,2) colouring")
-                )
-                break
-            if s == 3 and is_isomorphic(qq, vee()):
-                lower_cands.append(
-                    (threshold.c_star(y_double_prime(), name="Y''").value, "Y-double-prime host")
-                )
-                upper_cands.append(
-                    (threshold.c_star(layered([1, 1, 1, 2]), name="C(1,1,1,2)").value, "C(1,1,1,2) colouring")
-                )
-                break
-            if is_isomorphic(pp, diamond()) and t == 2:
-                lower_cands.append(
-                    (threshold.c_star(double_diamond(), name="DD").value, "double diamond host")
-                )
-                upper_cands.append(
-                    (threshold.c_star(layered([1, 1, 2, 1]), name="C(1,1,2,1)").value, "C(1,1,2,1) colouring")
-                )
-                break
-            if is_isomorphic(pp, diamond()) and is_isomorphic(qq, diamond()):
-                upper_cands.append(
-                    (threshold.c_star(layered([1, 2, 1, 2, 1]), name="C(1,2,1,2,1)").value, "C(1,2,1,2,1) colouring")
-                )
-                if h_poset is not None:
-                    lower_cands.append(
-                        (threshold.c_star(h_poset, name="user host").value, "user-supplied host")
-                    )
-                else:
-                    notes.append("lower bound host unavailable (supply it as a poset file)")
-                break
-    else:
-        def is_v_wedge_family(patterns):
-            return (
-                len(patterns) == 2
-                and any(is_isomorphic(p, vee()) for p in patterns)
-                and any(is_isomorphic(p, wedge()) for p in patterns)
-            )
-
-        fam1 = is_v_wedge_family(firsts)
-        fam2 = is_v_wedge_family(seconds)
-        if fam1 and fam2:
-            lower_cands.append((threshold.c_star(layered([2, 1, 2]), name="C(2,1,2)").value, "C(2,1,2) host"))
-        single = None
-        if fam1 and len(seconds) == 1:
-            single = seconds[0]
-        elif fam2 and len(firsts) == 1:
-            single = firsts[0]
-        if single is not None and _chain_length(single) == 2:
-            upper_cands.append(
-                (threshold.c_star(wedge_prime(), name="wedge'").value, "wedge-prime colouring")
-            )
+    for side1, side2, spelling, source, ends in _KNOWN_HOSTS:
+        if not any(_is_side(a, side1) and _is_side(b, side2) for a, b in _pair_variants(firsts, seconds)):
+            continue
+        if spelling is None:
+            if h_poset is None:
+                notes.append(source)
+            break
+        value = threshold.c_star(catalog(spelling), name=spelling).value
+        if ends != "upper":
+            lower_cands.append((value, source))
+        if ends != "lower":
+            upper_cands.append((value, source))
+        if ends == "exact":
+            exact = value
+        break
+    if h_poset is not None:
+        lower_cands.append((threshold.c_star(h_poset, name="user host").value, "user-supplied host"))
 
     report = RamseyBoundsReport(pair=(pname(firsts), pname(seconds)), notes=notes)
     if lower_cands:

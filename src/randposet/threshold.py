@@ -339,6 +339,8 @@ def _kkt_solve(table, alpha, support, active, iters=60):
     nu = 0.0
     t = table.objective(alpha)
     sigma_s = [table.sigma(qi)[support] for qi in active]
+    # Support pairs in the same block of a subposet's partition.
+    same_s = [sig[:, None] == sig[None, :] for sig in sigma_s]
     m_q = [
         int(table.seg_offsets[qi + 1] - table.seg_offsets[qi]) for qi in active
     ]
@@ -353,10 +355,8 @@ def _kkt_solve(table, alpha, support, active, iters=60):
             safe = np.maximum(beta, 1e-300)
             grads[:, a] = (-np.log(safe[sigma_s[a]]) - 1.0) / sizes[a]
             h_vals[a] = float(-xlogy(beta, beta).sum()) / sizes[a]
-            one_hot = np.zeros((s, m_q[a]))
-            one_hot[np.arange(s), sigma_s[a]] = 1.0
             inv = np.where(beta > 0, 1.0 / safe, 0.0)
-            hess += lam[a] * (-(one_hot * inv) @ one_hot.T / sizes[a])
+            hess += lam[a] * (-np.where(same_s[a], inv[sigma_s[a]][:, None], 0.0) / sizes[a])
         r1 = grads @ lam - nu
         r2 = h_vals - t
         r3 = np.array([x.sum() - 1.0])

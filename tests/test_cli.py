@@ -7,7 +7,7 @@ import pytest
 from randposet import threshold
 from randposet.cli import main
 from randposet.correspondence import count_copies
-from randposet.posets import vee
+from randposet.posets import catalog, vee
 from randposet.ramsey import parse_dimacs
 
 
@@ -91,6 +91,13 @@ def test_cstar_json_on_chains(capsys):
         code, out, _ = run(capsys, "cstar", spec, "--json")
         assert code == 0
         assert json.loads(out)["converged"] is True
+
+
+def test_cstar_above_the_size_cap_exits_capacity(capsys):
+    code, out, err = run(capsys, "cstar", "chain:15")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
 
 
 def test_cstar_crossed_bracket_exits_unconverged(capsys, monkeypatch):
@@ -211,6 +218,19 @@ def test_ramsey_bounds_family_argument(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["lower"] == pytest.approx(0.4158883083, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "p,q,host",
+    [("diamond", "diamond", "dd"), ("chain:2", "y", "y''")],
+)
+def test_ramsey_bounds_host_takes_a_catalog_spelling(capsys, p, q, host):
+    code, out, _ = run(capsys, "ramsey-bounds", "--p", p, "--q", q, "--h-poset", host, "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["lower_source"] == "user-supplied host"
+    assert record["lower"] == threshold.c_star(catalog(host)).value
+    assert not any("unavailable" in note for note in record["notes"])
 
 
 def test_arrows_command(capsys):
@@ -398,3 +418,24 @@ def test_simulate_rejects_negative_trials(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "trials" in err
+
+
+# -- files the CLI cannot open ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat-solve", "--dimacs", "{tmp}/missing.cnf"],
+        ["cstar", "{tmp}"],
+        ["ramsey-bounds", "--p", "diamond", "--q", "diamond", "--h-poset", "{tmp}/missing"],
+        ["simulate", "--pattern", "v", "--n", "6", "--c", "0.5", "--trials", "1",
+         "--record-weights", "{tmp}/no-such-dir/weights.json"],
+    ],
+    ids=["missing-dimacs", "directory-poset", "missing-host", "unwritable-sidecar"],
+)
+def test_unopenable_file_is_one_error_line(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

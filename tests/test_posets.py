@@ -34,7 +34,6 @@ from randposet.posets import (
     load_poset,
     parse_dsl,
     parse_poset_arg,
-    poset_key,
     reverse,
     reverse_automorphisms,
     tower,
@@ -387,9 +386,3 @@ def test_reverse_automorphisms_invert_order():
 def test_is_isomorphic_ignores_labels():
     assert is_isomorphic(parse_dsl("u < v\nv < w"), chain(3))
     assert not is_isomorphic(chain(3), layered([1, 2]))
-
-
-def test_poset_key_identifies_structure():
-    assert poset_key(chain(3)) == poset_key(chain(3))
-    assert poset_key(vee()) != poset_key(wedge())
-    assert hash(poset_key(double_diamond())) is not None

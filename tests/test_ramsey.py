@@ -11,17 +11,21 @@ from randposet.posets import (
     PosetError,
     antichain_poset,
     boolean_lattice,
+    catalog,
     chain,
     diamond,
     double_diamond,
     layered,
+    reverse,
     vee,
     wedge,
     wedge_prime,
+    y_double_prime,
     y_poset,
     y_prime,
 )
 from randposet.ramsey import (
+    _KNOWN_HOSTS,
     CnfFormula,
     arrows,
     assignment_to_colouring,
@@ -471,6 +475,63 @@ def test_bounds_for_families():
     assert rep.lower == pytest.approx(c_star(layered([2, 1, 2])).value, abs=1e-9)
     rep2 = exponent_bounds(fam, chain(2))
     assert rep2.upper == pytest.approx(c_star(wedge_prime()).value, abs=1e-9)
+
+
+# Every row of the known-pairs table, and the chain rule: the sources that
+# win and the exact value (None when the bracket stays open).
+_BOUND_PINS = [
+    ("v", "v", "depth-2 binary tree (exact)", "depth-2 binary tree (exact)", 0.4474727361),
+    ("chain:2", "v", "Y-prime host", "tower colouring", 0.4476995514),
+    ("lambda", "v", "C(2,3,2) host", "tower colouring", None),
+    ("chain:3", "v", "Y-double-prime host", "tower colouring", None),
+    ("diamond", "chain:2", "double diamond host", "tower colouring", None),
+    ("diamond", "diamond", "", "tower colouring", None),
+    ("v,lambda", "v,lambda", "C(2,1,2) host", "", None),
+    ("v,lambda", "chain:2", "", "wedge-prime colouring", None),
+    ("chain:2", "chain:3", "chain pigeonhole (exact)", "tower colouring", 0.4023594781),
+]
+
+
+def _pattern_arg(spelling, reversed_order):
+    members = [catalog(part) for part in spelling.split(",")]
+    if reversed_order:
+        members = [reverse(m) for m in members]
+    return members[0] if len(members) == 1 else members
+
+
+def test_bound_pins_cover_the_table():
+    pinned = {(first, second) for first, second, *_ in _BOUND_PINS}
+    assert {(first, second) for first, second, *_ in _KNOWN_HOSTS} <= pinned
+
+
+@pytest.mark.parametrize("variant", ["pair", "swap", "reversal"])
+@pytest.mark.parametrize("first,second,lower_source,upper_source,exact", _BOUND_PINS)
+def test_bounds_pin_the_table(variant, first, second, lower_source, upper_source, exact):
+    if variant == "swap":
+        first, second = second, first
+    p = _pattern_arg(first, variant == "reversal")
+    q = _pattern_arg(second, variant == "reversal")
+    rep = exponent_bounds(p, q)
+    assert rep.lower_source == lower_source
+    assert rep.upper_source == upper_source
+    if exact is None:
+        assert rep.exact is None
+    else:
+        assert rep.exact == pytest.approx(exact, abs=1e-9)
+    if "," not in first + second:
+        assert rep.upper_source == "tower colouring" or rep.upper_source.endswith("(exact)")
+
+
+def test_supplied_host_is_a_lower_bound_candidate_for_any_pair():
+    host = y_double_prime()
+    assert arrows(host, chain(2), y_poset())[0]
+    plain = exponent_bounds(chain(2), y_poset())
+    assert plain.lower_source == "lexicographic product host"
+    rep = exponent_bounds(chain(2), y_poset(), h_poset=host)
+    assert rep.lower_source == "user-supplied host"
+    assert rep.lower == c_star(host).value > plain.lower
+    assert rep.lower <= rep.upper
+    assert rep.upper_source == plain.upper_source == "tower colouring"
 
 
 def test_bounds_generic_lex_and_tower():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randposet.posets import (
+    CapacityError,
     Poset,
     PosetError,
     antichains,
@@ -211,6 +212,11 @@ def test_cstar_blowup_three_layers_of_four():
     rep = c_star(catalog("blowup:3,4"))
     assert rep.converged
     assert rep.value == pytest.approx(blowup_bounds(3, 4)[1], abs=1e-9)
+
+
+def test_cstar_above_the_size_cap_is_a_capacity_error():
+    with pytest.raises(CapacityError, match="above the subposet-scan cap"):
+        c_star(chain(15))
 
 
 def test_cstar_default_tolerance_is_one_per_million_at_every_size():
