@@ -81,7 +81,7 @@ def _emit(args, record, human_lines):
 
 
 def _emit_stats(args, stats):
-    """With --stats, the optimizer's stats as one JSON document on stderr."""
+    """With --stats, a report's stats as one JSON document on stderr."""
     if args.stats:
         print(json.dumps(stats, indent=2), file=sys.stderr)
 
@@ -392,6 +392,7 @@ def _cmd_simulate(args):
         record_weights=bool(args.record_weights),
         pattern_name=args.pattern,
     )
+    _emit_stats(args, report.stats)
     if args.record_weights:
         with open(args.record_weights, "w", encoding="utf-8") as fh:
             fh.write(report.weights_json())
@@ -487,6 +488,7 @@ def _build_parser():
     p.add_argument("--budget", type=float, default=simulate.DEFAULT_BUDGET)
     p.add_argument("--record-weights", default=None, help="JSON sidecar path for copy weightings")
     p.add_argument("--output", default=None, help="CSV output path (default stdout)")
+    p.add_argument("--stats", action="store_true", help="time and words sampled per cell as JSON on stderr")
 
     return parser
 

@@ -537,8 +537,9 @@ def exponent_bounds(first, second, h_poset=None):
     the tower colouring an upper bound, and two chains of lengths s and t the
     exact value c*(chain(s + t - 1)) by pigeonhole. Single patterns and
     families alike then take their row of ``_KNOWN_HOSTS``, and a supplied
-    ``h_poset`` is one more lower-bound host. Each bound carries a
-    provenance string.
+    ``h_poset`` is one more lower-bound host once ``arrows`` confirms that
+    it arrows the pair; otherwise a note names the colouring that avoids
+    both. Each bound carries a provenance string.
     """
     firsts = _family(first)
     seconds = _family(second)
@@ -546,6 +547,11 @@ def exponent_bounds(first, second, h_poset=None):
     upper_cands = []
     notes = []
     exact = None
+    if h_poset is not None:
+        arrowing, witness = arrows(h_poset, firsts, seconds)
+        if not arrowing:
+            notes.append("user-supplied host does not arrow the pair: colouring %s avoids both" % (witness,))
+            h_poset = None
 
     def pname(patterns):
         if len(patterns) == 1:
@@ -599,7 +605,7 @@ def exponent_bounds(first, second, h_poset=None):
     elif (
         report.lower is not None
         and report.upper is not None
-        and report.upper - report.lower <= 1e-9
+        and abs(report.upper - report.lower) <= 1e-9
     ):
         report.exact = (report.lower + report.upper) / 2.0
     if (

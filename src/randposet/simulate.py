@@ -94,13 +94,28 @@ def copy_weighting(pattern, n, image_words):
 
 @dataclass
 class SweepReport:
-    """Empirical containment probabilities over a grid of exponents."""
+    """Empirical containment probabilities over a grid of exponents.
+
+    Per cell, ``cell_seconds`` holds the wall time and ``cell_words`` the
+    words sampled, as (sum, maximum) over its trials.
+    """
 
     pattern_name: str
     n: int
     rows: list = field(default_factory=list)
     cell_seconds: list = field(default_factory=list)
+    cell_words: list = field(default_factory=list)
     weight_records: list = field(default_factory=list)
+
+    @property
+    def stats(self):
+        """Time and sample sizes per cell, kept out of the JSON record."""
+        return {
+            "cells": [
+                {"c": row["c"], "seconds": seconds, "words": total, "max_words": largest}
+                for row, seconds, (total, largest) in zip(self.rows, self.cell_seconds, self.cell_words)
+            ]
+        }
 
     def to_csv(self):
         lines = ["c,trials,successes,p_hat"]
@@ -147,10 +162,13 @@ def sweep(
     for cell, c in enumerate(grid):
         started = time.monotonic()
         successes = 0
+        words = largest = 0
         for trial in range(trials):
             ss = np.random.SeedSequence(seed, spawn_key=(cell, trial))
             rng = np.random.default_rng(ss)
             sample = sample_pnp(n, c, budget=budget, rng=rng)
+            words += len(sample)
+            largest = max(largest, len(sample))
             image = find_pattern(sample, pattern, induced=induced)
             if image is not None:
                 successes += 1
@@ -172,4 +190,5 @@ def sweep(
             }
         )
         report.cell_seconds.append(time.monotonic() - started)
+        report.cell_words.append((words, largest))
     return report

@@ -34,6 +34,9 @@ DEFAULT_SIZE_CAP = 14
 # The mirror ascent iterates on the subposets whose exponent was within this
 # margin of the minimum at the last full-table evaluation.
 WS_MARGIN = 0.05
+# The KKT polish and the LP bound count a subposet as active within this
+# margin of the minimum.
+ACTIVE_TOL = 1e-3
 
 
 def entropy(alpha):
@@ -243,7 +246,7 @@ class Classification:
 _DUAL_MAX_TERMS = 120
 
 
-def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=_DUAL_MAX_TERMS):
+def _dual_upper_bound(table, alpha, max_terms=_DUAL_MAX_TERMS):
     """Certified upper bound from supergradients at (a slightly interior) alpha.
 
     For weights lambda on the simplex over a set of subposets, concavity of
@@ -260,7 +263,7 @@ def _dual_upper_bound(table, alpha, active_tol=1e-3, max_terms=_DUAL_MAX_TERMS):
     vals = table.values(interior)
     g = vals.min()
     order = np.argsort(vals)
-    chosen = [qi for qi in order if vals[qi] <= g + active_tol][:max_terms]
+    chosen = [qi for qi in order if vals[qi] <= g + ACTIVE_TOL][:max_terms]
     grads = np.column_stack([table.gradient(interior, qi) for qi in chosen])
     inv_sizes = np.array([1.0 / table.sizes[qi] for qi in chosen])
     k = len(chosen)
@@ -300,7 +303,7 @@ def _allowance_cap(m, upper):
     return (_DUAL_MAX_TERMS + m + 4) * np.finfo(float).eps * (upper + 2.0)
 
 
-def _kkt_polish(table, alpha, active_tol=1e-4, max_active=48, rounds=6):
+def _kkt_polish(table, alpha, max_active=48, rounds=6):
     """Newton refinement of a near-optimal weighting on its active set.
 
     Solves the stationarity system for the detected support and active
@@ -314,7 +317,7 @@ def _kkt_polish(table, alpha, active_tol=1e-4, max_active=48, rounds=6):
     vals = table.values(alpha)
     g = vals.min()
     order = np.argsort(vals)
-    active = [qi for qi in order if vals[qi] <= g + active_tol][:max_active]
+    active = [qi for qi in order if vals[qi] <= g + ACTIVE_TOL][:max_active]
     if not active:
         return None
     for _ in range(rounds):
@@ -379,6 +382,7 @@ def _kkt_solve(table, alpha, support, active, iters=60):
         if np.abs(res).max() < 1e-13:
             break
         try:
+            # gelsd (SVD): these systems are heavily rank-deficient; gelsy stalls when cores are busy.
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         except np.linalg.LinAlgError:
             return None

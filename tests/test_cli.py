@@ -220,17 +220,24 @@ def test_ramsey_bounds_family_argument(capsys):
     assert record["lower"] == pytest.approx(0.4158883083, abs=1e-6)
 
 
-@pytest.mark.parametrize(
-    "p,q,host",
-    [("diamond", "diamond", "dd"), ("chain:2", "y", "y''")],
-)
-def test_ramsey_bounds_host_takes_a_catalog_spelling(capsys, p, q, host):
-    code, out, _ = run(capsys, "ramsey-bounds", "--p", p, "--q", q, "--h-poset", host, "--json")
+def test_ramsey_bounds_host_takes_a_catalog_spelling(capsys):
+    code, out, _ = run(capsys, "ramsey-bounds", "--p", "chain:2", "--q", "y", "--h-poset", "y''", "--json")
     assert code == 0
     record = json.loads(out)
     assert record["lower_source"] == "user-supplied host"
-    assert record["lower"] == threshold.c_star(catalog(host)).value
-    assert not any("unavailable" in note for note in record["notes"])
+    assert record["lower"] == threshold.c_star(catalog("y''")).value
+    assert not any("arrow" in note for note in record["notes"])
+
+
+def test_ramsey_bounds_reject_a_host_that_does_not_arrow(capsys):
+    # The double diamond does not arrow (diamond, diamond), so its c*
+    # (0.38166, above the tower's 0.32890) is no lower bound.
+    code, out, _ = run(capsys, "ramsey-bounds", "--p", "diamond", "--q", "diamond", "--h-poset", "dd", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["lower"] is None and record["lower_source"] == ""
+    assert record["exact"] is None
+    assert any("does not arrow the pair" in note for note in record["notes"])
 
 
 def test_arrows_command(capsys):
@@ -374,6 +381,24 @@ def test_simulate_weight_sidecar(tmp_path, capsys):
     assert code == 0
     records = json.loads(sidecar.read_text(encoding="utf-8"))
     assert records and all(abs(sum(r["weighting"]) - 1.0) < 1e-12 for r in records)
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_simulate_stats_go_to_stderr_only(tmp_path, capsys, extra):
+    argv = ["simulate", "--pattern", "v", "--n", "10", "--c", "0.3,0.6", "--trials", "3", "--seed", "5"]
+    code, plain, err = run(capsys, *argv, "--record-weights", str(tmp_path / "a.json"), *extra)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv, "--record-weights", str(tmp_path / "b.json"), "--stats", *extra)
+    assert code == 0
+    assert out == plain
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    cells = json.loads(err)["cells"]
+    assert [cell["c"] for cell in cells] == [0.3, 0.6]
+    for cell in cells:
+        assert set(cell) == {"c", "seconds", "words", "max_words"}
+        assert cell["seconds"] >= 0 and 0 <= cell["max_words"] <= cell["words"] <= 3 * cell["max_words"]
+    # At n = 10 a cell at c keeps about 2^10 e^(-10c) words a trial.
+    assert cells[0]["words"] > cells[1]["words"] > 0
 
 
 def test_simulate_grid_validation(capsys):

@@ -15,6 +15,7 @@ from randposet.posets import (
     chain,
     diamond,
     double_diamond,
+    induced_subposet,
     layered,
     reverse,
     vee,
@@ -24,6 +25,7 @@ from randposet.posets import (
     y_poset,
     y_prime,
 )
+from randposet import ramsey
 from randposet.ramsey import (
     _KNOWN_HOSTS,
     CnfFormula,
@@ -464,9 +466,28 @@ def test_bounds_for_diamond_pair_need_a_host():
     assert rep.upper_source == "tower colouring"
     assert rep.lower is None
     assert any("host" in note for note in rep.notes)
-    with_host = exponent_bounds(diamond(), diamond(), h_poset=double_diamond())
-    assert with_host.lower == pytest.approx(c_star(double_diamond()).value, abs=1e-9)
+    # B4 without the elements 1, 2, 3, 5 and 7 arrows (diamond, diamond).
+    host = induced_subposet(boolean_lattice(4), [e for e in range(16) if e not in (1, 2, 3, 5, 7)])
+    with_host = exponent_bounds(diamond(), diamond(), h_poset=host)
+    assert with_host.lower == pytest.approx(0.3197792259, abs=1e-9)
     assert with_host.lower_source == "user-supplied host"
+    assert with_host.exact is None
+    assert not any("arrow" in note or "unavailable" in note for note in with_host.notes)
+    # The double diamond does not arrow the pair: no bound, and no exact
+    # value from its c* (0.38166) crossing the tower's 0.32890.
+    rejected = exponent_bounds(diamond(), diamond(), h_poset=double_diamond())
+    assert rejected.lower is None and rejected.exact is None
+    assert any("colouring (1, 1, 1, 1, 2, 2) avoids both" in note for note in rejected.notes)
+
+
+def test_crossed_bounds_have_no_exact_value(monkeypatch):
+    # Accept the double diamond unchecked: its c* (0.38166) then lies above
+    # the tower colouring's 0.32890.
+    monkeypatch.setattr(ramsey, "arrows", lambda host, first, second: (True, None))
+    rep = exponent_bounds(diamond(), diamond(), h_poset=double_diamond())
+    assert rep.lower > rep.upper + 1e-9
+    assert rep.exact is None
+    assert "bound sources disagree beyond tolerance (kept verbatim)" in rep.notes
 
 
 def test_bounds_for_families():
