@@ -64,12 +64,12 @@ def _decide_arrow(words, firsts, seconds, induced):
     One clause per copy: no first-family copy all in colour 1, no second one
     all in colour 2. Returns (True, None) or (False, witness colouring).
     """
-    clauses, provenance = [], []
-    for sign, patterns in ((-1, firsts), (1, seconds)):
-        for image in _copy_images(words, patterns, induced):
-            clauses.append(tuple(sign * (v + 1) for v in image))
-            provenance.append(image)
-    res = solve_cnf(CnfFormula(len(words), clauses, provenance))
+    signed = (
+        (sign, image)
+        for sign, patterns in ((-1, firsts), (1, seconds))
+        for image in _copy_images(words, patterns, induced)
+    )
+    res = solve_cnf(_avoidance_cnf(len(words), signed))
     if res.status == "unsat":
         return True, None
     return False, assignment_to_colouring(res.assignment, len(words))
@@ -123,6 +123,8 @@ def ramsey_number(first, second, n_max=4, induced=False):
     but without its host-size cap; returns None when no dimension up to
     n_max works.
     """
+    if not n_max >= 1:
+        raise PosetError("n_max must be an integer >= 1, got %r" % (n_max,))
     firsts = _family(first)
     seconds = _family(second)
     for dim in range(1, n_max + 1):
@@ -167,26 +169,13 @@ def enumerate_pattern_copies(host, pattern, mode="all-weak"):
         k = pattern.n.bit_length() - 1
         if pattern.n != 1 << k or not is_isomorphic(pattern, boolean_lattice(k)):
             raise PosetError("subcube mode needs a subset-lattice pattern")
-        images = set()
-        coords = list(range(d))
-        for free in itertools.combinations(coords, k):
-            free_mask = 0
-            for t in free:
-                free_mask |= 1 << t
-            fixed = [t for t in coords if t not in free]
-            for bits in range(1 << len(fixed)):
-                base = 0
-                for pos, t in enumerate(fixed):
-                    if bits >> pos & 1:
-                        base |= 1 << t
-                sub = free_mask
-                image = []
-                while True:
-                    image.append(base | sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & free_mask
-                images.add(tuple(sorted(image)))
+        # A subcube is its free coordinates plus a base disjoint from them,
+        # so no two (free, base) pairs give the same image.
+        images = []
+        for free in itertools.combinations(range(d), k):
+            mask = sum(1 << t for t in free)
+            subs = [w for w in range(1 << d) if not w & ~mask]
+            images += [tuple(base | s for s in subs) for base in range(1 << d) if not base & mask]
         return sorted(images)
     if mode not in ("all-weak", "all-induced"):
         raise PosetError("mode must be subcube, all-weak or all-induced")
@@ -215,31 +204,36 @@ class CnfFormula:
     """A CNF over one boolean variable per host element.
 
     Variables are 1-based host element indices; a positive literal means the
-    element gets colour 1. ``provenance`` aligns with ``clauses`` and names
-    the copy that produced each clause.
+    element gets colour 1.
     """
 
     num_vars: int
     clauses: list
-    provenance: list = field(default_factory=list)
 
     def to_dimacs(self):
-        """Standard DIMACS text with a comment naming each clause pair's copy."""
+        """Standard DIMACS text; a comment names the copy before each run of its clauses.
+
+        The copy is the clause's variable set as 0-based host elements.
+        """
         lines = ["p cnf %d %d" % (self.num_vars, len(self.clauses))]
-        emitted_comment = set()
-        for idx, clause in enumerate(self.clauses):
-            tag = self.provenance[idx] if idx < len(self.provenance) else None
-            if tag is not None and tag not in emitted_comment:
-                lines.append("c copy %s" % (",".join(str(v) for v in tag)))
-                emitted_comment.add(tag)
-            lines.append(" ".join(str(l) for l in clause) + " 0")
+        copy = None
+        for clause in self.clauses:
+            key = tuple(map(abs, clause))
+            if key != copy:
+                lines.append("c copy " + ",".join([str(v - 1) for v in key]))
+                copy = key
+            lines.append(" ".join([str(l) for l in clause]) + " 0")
         return "\n".join(lines) + "\n"
 
 
 def parse_dimacs(text):
-    """Read a DIMACS CNF file back into a CnfFormula (comments dropped)."""
+    """Read a DIMACS CNF file back into a CnfFormula (comments dropped).
+
+    Each clause ends at its 0, so a clause may span lines and a line may hold
+    several clauses; literals after the last 0 form one more clause.
+    """
     num_vars = None
-    clauses = []
+    lits = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -251,16 +245,20 @@ def parse_dimacs(text):
                     raise PosetError("bad DIMACS header: %r" % line)
                 num_vars = int(parts[2])
                 continue
-            lits = [int(v) for v in line.split()]
+            lits += map(int, line.split())
         except ValueError:
             raise PosetError("DIMACS line %d is not integers: %r" % (lineno, line)) from None
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
-        if lits:
-            clauses.append(tuple(lits))
+    clauses = []
+    start = 0
+    for _ in range(lits.count(0)):
+        end = lits.index(0, start)
+        clauses.append(tuple(lits[start:end]))
+        start = end + 1
+    if start < len(lits):
+        clauses.append(tuple(lits[start:]))
     if num_vars is None:
         num_vars = max((abs(l) for c in clauses for l in c), default=0)
-    return CnfFormula(num_vars, clauses, [None] * len(clauses))
+    return CnfFormula(num_vars, clauses)
 
 
 def encode_avoidance(host, pattern, mode="all-weak"):
@@ -271,15 +269,16 @@ def encode_avoidance(host, pattern, mode="all-weak"):
     (all-positive).
     """
     copies = enumerate_pattern_copies(host, pattern, mode=mode)
-    clauses = []
-    provenance = []
-    for image in copies:
-        tag = tuple(image)
-        clauses.append(tuple(-(v + 1) for v in image))
-        provenance.append(tag)
-        clauses.append(tuple(v + 1 for v in image))
-        provenance.append(tag)
-    return CnfFormula(host.n, clauses, provenance)
+    return _avoidance_cnf(host.n, ((sign, image) for image in copies for sign in (-1, 1)))
+
+
+def _avoidance_cnf(num_vars, signed_images):
+    """The CNF with one clause per (sign, image), in order: sign * (v + 1) for v in image.
+
+    A negative clause forbids the copy all in colour 1, a positive one all in
+    colour 2.
+    """
+    return CnfFormula(num_vars, [tuple([sign * (v + 1) for v in image]) for sign, image in signed_images])
 
 
 @dataclass

@@ -541,6 +541,8 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
         raise PosetError("exponent of the empty poset is undefined")
     if not tol >= 0:
         raise PosetError("tolerance must be a number >= 0, got %r" % (tol,))
+    if not max_iter >= 0:
+        raise PosetError("max_iter must be an integer >= 0, got %r" % (max_iter,))
     if poset.n > DEFAULT_SIZE_CAP:
         raise CapacityError(
             "poset has %d elements, above the subposet-scan cap %d" % (poset.n, DEFAULT_SIZE_CAP)

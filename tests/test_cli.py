@@ -276,6 +276,79 @@ def test_sat_encode_stdout_and_file(tmp_path, capsys):
     assert cnf.num_vars == 4
 
 
+# Golden DIMACS text: each copy's comment, then its all-negative and all-positive clause.
+_ENCODE_B2_CHAIN2 = (
+    "p cnf 4 10\n"
+    "c copy 0,1\n"
+    "-1 -2 0\n"
+    "1 2 0\n"
+    "c copy 0,2\n"
+    "-1 -3 0\n"
+    "1 3 0\n"
+    "c copy 0,3\n"
+    "-1 -4 0\n"
+    "1 4 0\n"
+    "c copy 1,3\n"
+    "-2 -4 0\n"
+    "2 4 0\n"
+    "c copy 2,3\n"
+    "-3 -4 0\n"
+    "3 4 0\n"
+)
+_ENCODE_B3_EDGES = (
+    "p cnf 8 24\n"
+    "c copy 0,1\n"
+    "-1 -2 0\n"
+    "1 2 0\n"
+    "c copy 0,2\n"
+    "-1 -3 0\n"
+    "1 3 0\n"
+    "c copy 0,4\n"
+    "-1 -5 0\n"
+    "1 5 0\n"
+    "c copy 1,3\n"
+    "-2 -4 0\n"
+    "2 4 0\n"
+    "c copy 1,5\n"
+    "-2 -6 0\n"
+    "2 6 0\n"
+    "c copy 2,3\n"
+    "-3 -4 0\n"
+    "3 4 0\n"
+    "c copy 2,6\n"
+    "-3 -7 0\n"
+    "3 7 0\n"
+    "c copy 3,7\n"
+    "-4 -8 0\n"
+    "4 8 0\n"
+    "c copy 4,5\n"
+    "-5 -6 0\n"
+    "5 6 0\n"
+    "c copy 4,6\n"
+    "-5 -7 0\n"
+    "5 7 0\n"
+    "c copy 5,7\n"
+    "-6 -8 0\n"
+    "6 8 0\n"
+    "c copy 6,7\n"
+    "-7 -8 0\n"
+    "7 8 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["--host", "boolean:2", "--pattern", "chain:2"], _ENCODE_B2_CHAIN2),
+        (["--host", "boolean:3", "--pattern", "boolean:1", "--mode", "subcube"], _ENCODE_B3_EDGES),
+    ],
+)
+def test_sat_encode_golden_text(capsys, argv, golden):
+    code, out, _ = run(capsys, "sat-encode", *argv)
+    assert code == 0
+    assert out == golden
+
+
 def test_sat_encode_beyond_the_copy_guard_is_a_capacity_error(tmp_path, capsys):
     code, out, err = run(capsys, "sat-encode", "--host", "boolean:7", "--pattern", "boolean:3",
                          "--output", str(tmp_path / "p7.cnf"))
@@ -321,6 +394,22 @@ def test_sat_solve_rejects_non_integer_dimacs(tmp_path, capsys):
     assert err.startswith("error: ") and "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("p cnf 2 2\n1\n2 0\n-1 0\n", ["SAT", "colouring 2 1"]),
+        ("p cnf 1 2\n1 0\n0\n", ["UNSAT"]),
+        ("p cnf 2 2\n1 0 2 0\n", ["SAT", "colouring 1 1"]),
+    ],
+)
+def test_sat_solve_reads_clauses_up_to_their_zero(tmp_path, capsys, text, expected):
+    path = tmp_path / "spread.cnf"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "sat-solve", "--dimacs", str(path))
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 def test_sat_solve_zero_time_budget_is_unknown(capsys):
     code, out, _ = run(capsys, "sat-solve", "--host", "boolean:3", "--pattern", "boolean:3",
                        "--mode", "all-induced", "--time-budget", "0")
@@ -335,6 +424,8 @@ def test_sat_solve_zero_time_budget_is_unknown(capsys):
         ["sat-solve", "--host", "boolean:3", "--pattern", "chain:2", "--time-budget", "-1"],
         ["simulate", "--pattern", "v", "--n", "16", "--c", "0", "--trials", "1",
          "--budget", "nan"],
+        ["ramsey-number", "--p", "chain:2", "--q", "chain:2", "--n-max", "-1"],
+        ["cstar", "chain:3", "--max-iter", "-5"],
     ],
 )
 def test_bad_budget_is_a_usage_error(capsys, argv):

@@ -227,6 +227,10 @@ def test_subcube_enumeration_counts():
     assert all(len(img) == 4 for img in squares)
     edges = enumerate_pattern_copies(host, boolean_lattice(1), mode="subcube")
     assert len(edges) == 12
+    host = boolean_lattice(5)
+    cubes = enumerate_pattern_copies(host, boolean_lattice(3), mode="subcube")
+    assert len(cubes) == 40
+    assert set(cubes) <= set(enumerate_pattern_copies(host, boolean_lattice(3), mode="all-induced"))
 
 
 def test_weak_chain_enumeration_count():
@@ -280,7 +284,7 @@ def test_avoidance_encoding_shape():
 def test_avoidance_clause_count_is_twice_the_copies():
     cnf = encode_avoidance(boolean_lattice(3), chain(3), mode="all-weak")
     assert len(cnf.clauses) == 36
-    assert cnf.provenance[0] == cnf.provenance[1]
+    assert list(map(abs, cnf.clauses[0])) == list(map(abs, cnf.clauses[1]))
 
 
 def test_avoidance_segment_edge():
@@ -319,6 +323,14 @@ def test_parse_dimacs_rejects_bad_header():
         parse_dimacs("p dnf 2 1\n1 0\n")
     with pytest.raises(PosetError, match="line 1"):
         parse_dimacs("p cnf two 1\n1 0\n")
+
+
+def test_parse_dimacs_ends_each_clause_at_its_zero():
+    # A clause may span lines, a line may hold several, and a lone 0 is the empty clause.
+    assert parse_dimacs("p cnf 2 2\n1\n2 0\n-1 0\n").clauses == [(1, 2), (-1,)]
+    assert parse_dimacs("p cnf 1 2\n1 0\n0\n").clauses == [(1,), ()]
+    assert parse_dimacs("p cnf 2 2\n1 0 2 0\n").clauses == [(1,), (2,)]
+    assert parse_dimacs("p cnf 3 2\n1 -2 0 3\n").clauses == [(1, -2), (3,)]
 
 
 def test_parse_dimacs_rejects_non_integer_tokens():

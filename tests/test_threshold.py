@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from randposet.posets import (
     CapacityError,
@@ -352,6 +352,28 @@ def test_cstar_is_invariant_under_order_reversal(n, seed):
     assert rep.converged and rev.converged
     assert max(rep.lower_bound, rev.lower_bound) <= min(rep.upper_bound, rev.upper_bound) + 1e-12
     assert rep.classification == rev.classification
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10 ** 6), st.data())
+def test_cstar_cannot_drop_when_an_element_is_deleted(n, seed, data):
+    # Every copy of P holds a copy of its induced subposet Q, so c*(Q) >= c*(P).
+    p = random_poset(random.Random(seed), n)
+    gone = data.draw(st.integers(0, n - 1))
+    q = induced_subposet(p, [e for e in range(n) if e != gone])
+    assert c_star(q).upper_bound >= c_star(p).lower_bound - 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10 ** 6), st.data())
+def test_cstar_cannot_drop_when_a_cover_is_deleted(n, seed, data):
+    # Every weak copy of P is a weak copy of P without the cover.
+    p = random_poset(random.Random(seed), n)
+    covers = p.cover_pairs()
+    assume(covers)
+    gone = data.draw(st.sampled_from(covers))
+    q = Poset(n, [c for c in covers if c != gone])
+    assert c_star(q).upper_bound >= c_star(p).lower_bound - 1e-12
 
 
 def test_start_within_roundoff_skips_the_last_polish(monkeypatch):
