@@ -504,6 +504,9 @@ def main(argv=None):
     except CapacityError as err:
         print("capacity error: %s" % err, file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError as err:
+        print("capacity error: out of memory%s" % (": %s" % err if str(err) else ""), file=sys.stderr)
+        return EXIT_CAPACITY
     except (PosetError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE

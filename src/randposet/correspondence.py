@@ -156,64 +156,40 @@ def _down_meeting_indices(family):
 def copy_of_partition(family, partition):
     """Turn a partition into the order-preserving map it encodes.
 
-    Pattern element i receives the union of all parts whose antichain meets
-    the down-set of i. Starred partitions produce induced copies.
+    Each part joins the images of the up-set of its antichain, so pattern
+    element i receives the union of all parts whose antichain meets the
+    down-set of i. Starred partitions produce induced copies.
     """
     if partition.family is not family and partition.family.masks != family.masks:
         raise PosetError("partition is indexed by a different antichain family")
-    sel = _down_meeting_indices(family)
-    images = []
-    for i in range(family.poset.n):
-        x = 0
-        for j in _bits(sel[i]):
-            x |= partition.parts[j]
-        images.append(x)
-    return CopyMap(family.poset, partition.n, images)
+    poset = family.poset
+    images = [0] * poset.n
+    for s, part in zip(family.masks, partition.parts):
+        if part:
+            for i in _bits(poset.upset_of(s)):
+                images[i] |= part
+    return CopyMap(poset, partition.n, images)
 
 
 def partition_of_copy(family, copy):
     """Recover the partition encoding an order-preserving map.
 
-    Inverts copy_of_partition: peel each image down to the ground elements
-    first appearing at that pattern element, intersect along antichains,
-    strip strict refinements, and put the leftovers in the empty-antichain
-    part.
+    Inverts copy_of_partition: the pattern elements whose images hold a
+    ground element form an up-set, and the element belongs to the part of
+    that up-set's antichain of minima. So the part of antichain S is what
+    lies in every image over up(S) and in no other image.
     """
     poset = family.poset
     if copy.poset != poset:
         raise PosetError("copy map belongs to a different poset")
-    n = copy.n
-    full = (1 << n) - 1
-    fresh = []
-    for i in range(poset.n):
-        seen_below = 0
-        for k in _bits(poset.below[i]):
-            seen_below |= copy.images[k]
-        fresh.append(copy.images[i] & ~seen_below)
-    cores = []
-    for s in family.masks:
-        if s == 0:
-            cores.append(0)
-            continue
-        z = full
-        for i in _bits(s):
-            z &= fresh[i]
-        cores.append(z)
     parts = []
-    used = 0
-    for j, s in enumerate(family.masks):
-        if s == 0:
-            parts.append(0)
-            continue
-        part = cores[j]
-        for l, t in enumerate(family.masks):
-            if t != s and t & s == s:
-                part &= ~cores[l]
+    for s in family.masks:
+        up = poset.upset_of(s)
+        part = (1 << copy.n) - 1
+        for i, image in enumerate(copy.images):
+            part &= image if up >> i & 1 else ~image
         parts.append(part)
-        used |= part
-    empty_at = family.masks.index(0)
-    parts[empty_at] = full & ~used
-    return Partition(family, n, parts)
+    return Partition(family, copy.n, parts)
 
 
 # -- shadows -----------------------------------------------------------------

@@ -145,10 +145,6 @@ class Poset:
         """True when i is strictly below j."""
         return bool(self.above[i] >> j & 1)
 
-    def leq(self, i, j):
-        """True when i equals j or is strictly below j."""
-        return i == j or self.lt(i, j)
-
     def comparable(self, i, j):
         """True when i and j are related in either direction."""
         return i == j or self.lt(i, j) or self.lt(j, i)
@@ -239,10 +235,6 @@ class AntichainFamily:
 
     def __getitem__(self, k):
         return self.masks[k]
-
-    def sets(self):
-        """The antichains as sorted element tuples."""
-        return [tuple(_bits(m)) for m in self.masks]
 
     def position(self, mask):
         """Index of an antichain mask within the family."""

@@ -242,11 +242,17 @@ class Classification:
 # -- the optimizer -------------------------------------------------------------
 
 
-# The dual bound uses at most this many subposets.
+# The KKT polish and the LP bound use at most this many active subposets.
 _DUAL_MAX_TERMS = 120
 
 
-def _dual_upper_bound(table, alpha, max_terms=_DUAL_MAX_TERMS):
+def _active_rows(vals):
+    """The rows within ACTIVE_TOL of the minimum, nearest first, at most _DUAL_MAX_TERMS."""
+    order = np.argsort(vals)
+    return order[vals[order] <= vals.min() + ACTIVE_TOL][:_DUAL_MAX_TERMS].tolist()
+
+
+def _dual_upper_bound(table, alpha):
     """Certified upper bound from supergradients at (a slightly interior) alpha.
 
     For weights lambda on the simplex over a set of subposets, concavity of
@@ -260,10 +266,7 @@ def _dual_upper_bound(table, alpha, max_terms=_DUAL_MAX_TERMS):
     m = alpha.size
     interior = (1.0 - 1e-9) * alpha + 1e-9 / m
     interior /= interior.sum()
-    vals = table.values(interior)
-    g = vals.min()
-    order = np.argsort(vals)
-    chosen = [qi for qi in order if vals[qi] <= g + ACTIVE_TOL][:max_terms]
+    chosen = _active_rows(table.values(interior))
     grads = np.column_stack([table.gradient(interior, qi) for qi in chosen])
     inv_sizes = np.array([1.0 / table.sizes[qi] for qi in chosen])
     k = len(chosen)
@@ -293,33 +296,17 @@ def _dual_upper_bound(table, alpha, max_terms=_DUAL_MAX_TERMS):
     return math.nextafter(bound + (k + m + 4) * np.finfo(float).eps * scale, math.inf)
 
 
-def _allowance_cap(m, upper):
-    """The largest roundoff allowance ``_dual_upper_bound`` adds below ``upper``.
-
-    There k <= _DUAL_MAX_TERMS, and scale <= bound + 2 <= upper + 2, since
-    every gradient entry is at least -1/|Q| and the weights lambda_q / |Q_q|
-    sum to at most 1.
-    """
-    return (_DUAL_MAX_TERMS + m + 4) * np.finfo(float).eps * (upper + 2.0)
-
-
-def _kkt_polish(table, alpha, max_active=48, rounds=6):
+def _kkt_polish(table, alpha, rounds=6):
     """Newton refinement of a near-optimal weighting on its active set.
 
-    Solves the stationarity system for the detected support and active
-    subposets; returns a refined full weighting, or None when the solve does
-    not produce a usable point. The caller re-evaluates honestly.
+    Solves the stationarity system for the detected support and the active
+    subposets the LP bound would choose; returns a refined full weighting,
+    or None when the solve does not produce a usable point. The caller
+    re-evaluates honestly.
     """
     alpha = np.asarray(alpha, dtype=float)
     support = np.where(alpha > 1e-10)[0]
-    if support.size == 0:
-        return None
-    vals = table.values(alpha)
-    g = vals.min()
-    order = np.argsort(vals)
-    active = [qi for qi in order if vals[qi] <= g + ACTIVE_TOL][:max_active]
-    if not active:
-        return None
+    active = _active_rows(table.values(alpha))
     for _ in range(rounds):
         result = _kkt_solve(table, alpha, support, active)
         if result is None:
@@ -532,7 +519,8 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
 
     The bracket comes from the certificate and the LP dual alone: the lower
     bound is the objective over all subposets at the certificate, the upper
-    bound is ``_dual_upper_bound`` recomputed from the dual multipliers. A
+    bound is ``_dual_upper_bound`` recomputed from the dual multipliers. It
+    is certified after the starts and after each poll, and nowhere else. A
     crossed bracket is reported, not clamped. Disconnected posets decompose
     as the minimum over their components. ``stats`` on the report counts
     the work (see ``CriticalExponentReport``).
@@ -641,11 +629,6 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
         record["bracket_width"] = upper - best_val
         polls.append(record)
 
-    # One last polish and certification round for fast-converging cases,
-    # skipped when the bracket is already within the dual's roundoff.
-    if upper - best_val > _allowance_cap(m, upper):
-        try_improvements(_kkt_polish(table, best_alpha))
-        upper = min(upper, _dual_upper_bound(table, best_alpha))
     rep = _report(poset, family, table, name, best_alpha, upper, iterations, tol, notes)
     rep.stats = {"full_evaluations": full_evaluations, "polls": polls}
     return rep
@@ -722,24 +705,34 @@ def _report(poset, family, table, name, alpha, upper, iterations, tol, notes):
 # -- closed forms and bounds ---------------------------------------------------
 
 
+def _lift(c, kind):
+    """Root x in (0, 1/2) of a ``lift_bound`` equation at exponent c, and the bound there."""
+    if kind == "bottom":
+        f = lambda x: (1.0 - x) * c - binary_entropy(x)
+    elif kind == "bottom-top":
+        f = lambda x: 2.0 * (1.0 - 2.0 * x) * c - 2.0 * x * math.log(2.0) - binary_entropy(2.0 * x)
+    else:
+        raise PosetError("kind must be 'bottom' or 'bottom-top'")
+    x = float(brentq(f, 1e-12, 0.5 - 1e-12, xtol=1e-15, rtol=8.9e-16))
+    return x, binary_entropy(x) if kind == "bottom" else float((1.0 - 2.0 * x) * c)
+
+
 def star_threshold():
     """Root and value of the single-lift equation at the two-point fan.
 
-    Solves (1-x) log 2 = H2(x); returns (x, H2(x)).
+    Solves (1-x) log 2 = H2(x), the "bottom" lift equation at c = log 2;
+    returns (x, H2(x)).
     """
-    f = lambda x: (1.0 - x) * math.log(2.0) - binary_entropy(x)
-    x = brentq(f, 1e-9, 0.5 - 1e-12, xtol=1e-15, rtol=8.9e-16)
-    return float(x), binary_entropy(x)
+    return _lift(math.log(2.0), "bottom")
 
 
 def wide_diamond_threshold():
     """Root and value of the bounded-fan equation.
 
-    Solves 2(1-3x) log 2 = H2(2x); returns (x, (1-2x) log 2).
+    Solves 2(1-3x) log 2 = H2(2x), the "bottom-top" lift equation at
+    c = log 2; returns (x, (1-2x) log 2).
     """
-    f = lambda x: 2.0 * (1.0 - 3.0 * x) * math.log(2.0) - binary_entropy(2.0 * x)
-    x = brentq(f, 1e-9, 1.0 / 3.0 - 1e-12, xtol=1e-15, rtol=8.9e-16)
-    return float(x), float((1.0 - 2.0 * x) * math.log(2.0))
+    return _lift(math.log(2.0), "bottom-top")
 
 
 def chain_threshold(t):
@@ -770,15 +763,7 @@ def lift_bound(exponent, kind="bottom"):
     c = float(exponent)
     if not 0.0 < c <= math.log(2.0) + 1e-12:
         raise PosetError("lift bound needs an exponent in (0, log 2]")
-    if kind == "bottom":
-        f = lambda x: (1.0 - x) * c - binary_entropy(x)
-        x = brentq(f, 1e-12, 0.5 - 1e-12, xtol=1e-15, rtol=8.9e-16)
-        return binary_entropy(x)
-    if kind == "bottom-top":
-        f = lambda x: 2.0 * (1.0 - 2.0 * x) * c - 2.0 * x * math.log(2.0) - binary_entropy(2.0 * x)
-        x = brentq(f, 1e-12, 0.5 - 1e-12, xtol=1e-15, rtol=8.9e-16)
-        return float((1.0 - 2.0 * x) * c)
-    raise PosetError("kind must be 'bottom' or 'bottom-top'")
+    return _lift(c, kind)[1]
 
 
 def trivial_upper_bound(poset, family=None):
@@ -848,8 +833,4 @@ def universality_band(n_elements, b=1.0):
     """
     if n_elements < 2:
         raise PosetError("universality band needs at least two elements")
-    t = math.ceil(b * math.log(n_elements))
-    t = max(t, 1)
-    lo = math.log(2.0) / 3.0
-    hi = lo + math.log(3.0 - 2.0 * 2.0 ** (-t)) / (3.0 * t)
-    return lo, hi
+    return blowup_bounds(3, max(math.ceil(b * math.log(n_elements)), 1))

@@ -100,6 +100,17 @@ def test_cstar_above_the_size_cap_exits_capacity(capsys):
     assert err.startswith("capacity error: ") and err.count("\n") == 1
 
 
+def test_cstar_out_of_memory_exits_capacity(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. MiB for an array with shape (8193, 8193)")
+
+    monkeypatch.setattr(threshold, "c_star", exhausted)
+    code, out, err = run(capsys, "cstar", "v")
+    assert code == 2
+    assert out == ""
+    assert err == "capacity error: out of memory: Unable to allocate 512. MiB for an array with shape (8193, 8193)\n"
+
+
 def test_cstar_crossed_bracket_exits_unconverged(capsys, monkeypatch):
     dual = threshold._dual_upper_bound
     monkeypatch.setattr(threshold, "_dual_upper_bound", lambda table, alpha: dual(table, alpha) - 1e-6)
