@@ -461,72 +461,6 @@ def _count_backtrack(pattern, n, mode):
     return rec(0)
 
 
-# Cells (partial copies x candidate words) in one mask of copy_blocks.
-_COPY_CELLS = 1 << 16
-
-
-def copy_blocks(words, pattern, induced=False):
-    """Yield, in blocks, the copies of a pattern in an array of distinct words.
-
-    A copy maps the pattern's elements to distinct words, x < y to a strict
-    subset and, when induced, incomparable elements to incomparable words.
-    Each block holds one row per copy: indices into ``words``, columns
-    aligned to pattern elements, rows in lexicographic order of placement.
-    The search places the elements depth first, in a linear extension by
-    down-set size, over the popcount-sorted words. One block size doubles
-    from a single row across the whole search up to _COPY_CELLS cells, so
-    the first copy costs about what a row-at-a-time search costs.
-    """
-    pc = np.bitwise_count(words)
-    order = np.argsort(pc, kind="stable").astype(np.int32 if len(words) < 2 ** 31 else np.int64)
-    words, pc = words[order], pc[order]
-    # starts[r] is the first position of a word with popcount at least r.
-    starts = np.searchsorted(pc, np.arange(8 * words.itemsize + 2))
-    elems = sorted(range(pattern.n), key=lambda i: pattern.below[i].bit_count())
-    # A word fits a step when it is a strict superset of the lower covers'
-    # images (so past their largest popcount) and differs from, or when
-    # induced is incomparable with, the other placed images; none is above.
-    steps = []
-    for d, u in enumerate(elems):
-        below = [c for c in range(d) if pattern.lt(elems[c], u)]
-        covers = [c for c in below if not pattern.above[elems[c]] & pattern.below[u]]
-        steps.append((covers, [c for c in range(d) if c not in below]))
-    block_rows = 1
-
-    def extend(rows, d):
-        nonlocal block_rows
-        if d == pattern.n:
-            yield order[rows[:, np.argsort(elems)]]
-            return
-        covers, others = steps[d]
-        # Each row's largest lower-cover popcount, -1 without covers.
-        top = pc[rows[:, covers]].astype(np.int16).max(axis=1, initial=-1)
-        widest = len(words) - int(starts[top.min() + 1])
-        while len(rows):
-            take = max(1, min(block_rows, _COPY_CELLS // max(widest, 1)))
-            chunk, chunk_top, rows, top = rows[:take], top[:take, None], rows[take:], top[take:]
-            block_rows = min(2 * block_rows, _COPY_CELLS)
-            lo = int(starts[chunk_top.min() + 1])
-            tail = words[lo:]
-            mask = pc[lo:] > chunk_top
-            for c in covers:
-                x = words[chunk[:, c]][:, None]
-                mask &= (tail & x) == x
-            for c in others:
-                x = words[chunk[:, c]][:, None]
-                mask &= ((tail & x) != x) & ((tail | x) != x) if induced else tail != x
-            hit_row, hit_col = np.nonzero(mask)
-            grown = np.column_stack((chunk[hit_row], (hit_col + lo).astype(order.dtype)))
-            del mask, hit_row, hit_col
-            if len(grown):
-                yield from extend(grown, d + 1)
-
-    try:
-        yield from extend(np.empty((1, 0), dtype=order.dtype), 0)
-    finally:
-        del extend  # break extend's reference to itself, so the arrays free at once
-
-
 # -- weighted partition counting ---------------------------------------------
 
 

@@ -7,13 +7,15 @@ strictly less). All relations are transitively closed at construction time.
 The module also provides the catalog of named posets used on the command
 line, a tiny text format for user-defined posets, antichain enumeration, the
 standard constructions (reversal, disjoint union, lexicographic product,
-tower gluing), and backtracking searches for isomorphisms, automorphisms and
-copies of one poset inside another.
+tower gluing), and one copy search, copy_blocks: a blockwise numpy search for
+the copies of a pattern among distinct subset words. Over a host's down-set
+masks it finds copies of one poset inside another, automorphisms and
+isomorphisms, for hosts of at most 64 elements.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 
 DEFAULT_ANTICHAIN_CAP = 10 ** 7
@@ -393,7 +395,7 @@ def connected_components(poset):
     return comps
 
 
-# -- isomorphism and copy search -------------------------------------------
+# -- copy search ---------------------------------------------------------------
 
 
 def _signature(poset, i):
@@ -401,90 +403,84 @@ def _signature(poset, i):
     return (poset.below[i].bit_count(), poset.above[i].bit_count())
 
 
-def _search_order(pattern):
-    """Pattern elements ordered so each new one touches placed ones if possible."""
-    n = pattern.n
-    remaining = set(range(n))
-    order = []
-    placed_mask = 0
-    while remaining:
-        best = None
-        for i in remaining:
-            ties = ((pattern.above[i] | pattern.below[i]) & placed_mask).bit_count()
-            key = (-ties, -(pattern.above[i] | pattern.below[i]).bit_count(), i)
-            if best is None or key < best[0]:
-                best = (key, i)
-        i = best[1]
-        order.append(i)
-        remaining.remove(i)
-        placed_mask |= 1 << i
-    return order
+# Cells (partial copies x candidate words) in one mask of copy_blocks.
+_COPY_CELLS = 1 << 16
 
 
-def _embeddings(pattern, host, induced, find_all, host_mask=None, iso=False):
-    """Backtracking search for copies of pattern inside host.
+def copy_blocks(words, pattern, induced=False):
+    """Yield, in blocks, the copies of a pattern in an array of distinct words.
 
-    With ``induced`` the copy must also reflect incomparability; with ``iso``
-    the map must be a bijection (host restricted by host_mask). Returns a list
-    of tuples mapping pattern index to host index, or at most one when
-    ``find_all`` is false.
+    A copy maps the pattern's elements to distinct words, x < y to a strict
+    subset and, when induced, incomparable elements to incomparable words.
+    Each block holds one row per copy: indices into ``words``, columns
+    aligned to pattern elements, rows in lexicographic order of placement.
+    The search places the elements depth first, in a linear extension by
+    down-set size, over the popcount-sorted words. One block size doubles
+    from a single row across the whole search up to _COPY_CELLS cells, so
+    the first copy costs about what a row-at-a-time search costs.
     """
-    if host_mask is None:
-        host_mask = host.full_mask()
-    host_elems = list(_bits(host_mask))
-    if iso and len(host_elems) != pattern.n:
-        return []
-    if pattern.n > len(host_elems):
-        return []
-    order = _search_order(pattern)
-    sig_host = {}
-    for v in host_elems:
-        sig_host.setdefault(_signature_within(host, v, host_mask), []).append(v)
-    results = []
-    assign = {}
-    used = set()
+    pc = np.bitwise_count(words)
+    order = np.argsort(pc, kind="stable").astype(np.int32 if len(words) < 2 ** 31 else np.int64)
+    words, pc = words[order], pc[order]
+    # starts[r] is the first position of a word with popcount at least r.
+    starts = np.searchsorted(pc, np.arange(8 * words.itemsize + 2))
+    elems = sorted(range(pattern.n), key=lambda i: pattern.below[i].bit_count())
+    # A word fits a step when it is a strict superset of the lower covers'
+    # images (so past their largest popcount) and differs from, or when
+    # induced is incomparable with, the other placed images; none is above.
+    steps = []
+    for d, u in enumerate(elems):
+        below = [c for c in range(d) if pattern.lt(elems[c], u)]
+        covers = [c for c in below if not pattern.above[elems[c]] & pattern.below[u]]
+        steps.append((covers, [c for c in range(d) if c not in below]))
+    block_rows = 1
 
-    def candidates(u):
-        if iso:
-            return sig_host.get(_signature(pattern, u), ())
-        return host_elems
+    def extend(rows, d):
+        nonlocal block_rows
+        if d == pattern.n:
+            yield order[rows[:, np.argsort(elems)]]
+            return
+        covers, others = steps[d]
+        # Each row's largest lower-cover popcount, -1 without covers.
+        top = pc[rows[:, covers]].astype(np.int16).max(axis=1, initial=-1)
+        widest = len(words) - int(starts[top.min() + 1])
+        while len(rows):
+            take = max(1, min(block_rows, _COPY_CELLS // max(widest, 1)))
+            chunk, chunk_top, rows, top = rows[:take], top[:take, None], rows[take:], top[take:]
+            block_rows = min(2 * block_rows, _COPY_CELLS)
+            lo = int(starts[chunk_top.min() + 1])
+            tail = words[lo:]
+            mask = pc[lo:] > chunk_top
+            for c in covers:
+                x = words[chunk[:, c]][:, None]
+                mask &= (tail & x) == x
+            for c in others:
+                x = words[chunk[:, c]][:, None]
+                mask &= ((tail & x) != x) & ((tail | x) != x) if induced else tail != x
+            hit_row, hit_col = np.nonzero(mask)
+            grown = np.column_stack((chunk[hit_row], (hit_col + lo).astype(order.dtype)))
+            del mask, hit_row, hit_col
+            if len(grown):
+                yield from extend(grown, d + 1)
 
-    def feasible(u, v):
-        for u2, v2 in assign.items():
-            below = pattern.lt(u, u2)
-            above = pattern.lt(u2, u)
-            if below and not host.lt(v, v2):
-                return False
-            if above and not host.lt(v2, v):
-                return False
-            if not below and not above:
-                if (induced or iso) and host.comparable(v, v2):
-                    return False
-        return True
-
-    def rec(k):
-        if k == len(order):
-            results.append(tuple(assign[u] for u in range(pattern.n)))
-            return not find_all
-        u = order[k]
-        for v in candidates(u):
-            if v in used or not feasible(u, v):
-                continue
-            assign[u] = v
-            used.add(v)
-            if rec(k + 1):
-                return True
-            used.discard(v)
-            del assign[u]
-        return False
-
-    rec(0)
-    return results
+    try:
+        yield from extend(np.empty((1, 0), dtype=order.dtype), 0)
+    finally:
+        del extend  # break extend's reference to itself, so the arrays free at once
 
 
-def _signature_within(host, v, mask):
-    """Element fingerprint inside the sub-order induced on mask."""
-    return ((host.below[v] & mask).bit_count(), (host.above[v] & mask).bit_count())
+def _host_copies(host, pattern, induced, within=None):
+    """Yield, in blocks, the copies of pattern in host, as rows of host elements.
+
+    The words are the down-set masks of the elements of ``within`` (default:
+    all), so x < y exactly when down(x) is a strict subset of down(y).
+    """
+    if host.n > 64:
+        raise CapacityError("host has %d elements; the copy search takes at most 64" % host.n)
+    elems = np.array(list(_bits(host.full_mask() if within is None else within)), dtype=np.intp)
+    words = np.array([host.down_mask(i) for i in elems.tolist()], dtype=np.uint64)
+    for block in copy_blocks(words, pattern, induced):
+        yield elems[block]
 
 
 def contains_copy(host, pattern, induced=False, within=None):
@@ -492,15 +488,15 @@ def contains_copy(host, pattern, induced=False, within=None):
 
     The returned tuple lists, for each pattern element in index order, the
     host element it maps to. Weak copies preserve strict order; induced
-    copies also reflect incomparability.
+    copies also reflect incomparability. Hosts have at most 64 elements.
     """
-    found = _embeddings(pattern, host, induced, find_all=False, host_mask=within)
-    return found[0] if found else None
+    block = next(_host_copies(host, pattern, induced, within), None)
+    return None if block is None else tuple(block[0].tolist())
 
 
 def automorphisms(poset):
     """All order-preserving self-bijections, as index tuples."""
-    return _embeddings(poset, poset, induced=True, find_all=True, iso=True)
+    return [row for block in _host_copies(poset, poset, True) for row in map(tuple, block.tolist())]
 
 
 def reverse_automorphisms(poset):
@@ -510,7 +506,7 @@ def reverse_automorphisms(poset):
     The list is empty when the poset is not self-dual.
     """
     rev = reverse(poset)
-    return _embeddings(rev, poset, induced=True, find_all=True, iso=True)
+    return [row for block in _host_copies(poset, rev, True) for row in map(tuple, block.tolist())]
 
 
 def is_isomorphic(left, right):
@@ -521,7 +517,7 @@ def is_isomorphic(left, right):
         map(lambda i: _signature(right, i), range(right.n))
     ):
         return False
-    return bool(_embeddings(left, right, induced=True, find_all=False, iso=True))
+    return contains_copy(right, left, induced=True) is not None
 
 
 # -- the catalog ------------------------------------------------------------

@@ -4,7 +4,7 @@ A host poset arrows a pattern pair when every red/blue colouring of its
 elements leaves a red copy of the first pattern or a blue copy of the
 second (weak subposet copies by default). Each arrow question becomes a CNF
 over one variable per host element, one clause per copy that
-correspondence.copy_blocks finds among the host's down-set masks, solved by
+posets.copy_blocks finds among the host's down-set masks, solved by
 an embedded CDCL solver. Avoidance in subset lattices is encoded the same
 way.
 
@@ -32,15 +32,13 @@ from .posets import (
     antichains,
     boolean_lattice,
     catalog,
-    chain,
     contains_copy,
+    copy_blocks,
     is_isomorphic,
     lex_product,
     reverse,
     tower,
-    _embeddings,
 )
-from .correspondence import copy_blocks
 from . import threshold
 
 ARROW_SIZE_CAP = 24
@@ -186,14 +184,6 @@ def enumerate_pattern_copies(host, pattern, mode="all-weak"):
             % (m, d, SCAN_GUARD)
         )
     return _copy_images(np.arange(1 << d), [pattern], mode == "all-induced")
-
-
-def count_pattern_copies_direct(host, pattern, mode="all-weak"):
-    """Independent copy count by backtracking embeddings, deduplicated."""
-    if mode not in ("all-weak", "all-induced"):
-        raise PosetError("mode must be all-weak or all-induced")
-    found = _embeddings(pattern, host, induced=mode == "all-induced", find_all=True)
-    return len({tuple(sorted(t)) for t in found})
 
 
 # -- CNF machinery --------------------------------------------------------------
@@ -490,9 +480,7 @@ class RamseyBoundsReport:
 def _chain_length(poset):
     """The length t when the poset is a t-chain, else None."""
     t = poset.n
-    if is_isomorphic(poset, chain(t)):
-        return t
-    return None
+    return t if poset.relation_count() == t * (t - 1) // 2 else None
 
 
 # Known pairs: first side, second side, catalog poset, provenance, and the

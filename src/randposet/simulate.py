@@ -4,7 +4,7 @@ A random family keeps each subset of an n-element ground set independently
 with probability exp(-c*n). Sampling draws the kept-count from the matching
 binomial and then that many distinct uniform words, which is
 distribution-identical and avoids touching all 2^n subsets. The first
-copy of a pattern that correspondence.copy_blocks finds in the sampled
+copy of a pattern that posets.copy_blocks finds in the sampled
 words decides containment, and sweeps over a grid of exponents chart the
 empirical probability curve around the threshold.
 """
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .posets import CapacityError, PosetError, antichains
-from .correspondence import CopyMap, copy_blocks, partition_of_copy
+from .posets import CapacityError, PosetError, antichains, copy_blocks
+from .correspondence import CopyMap, partition_of_copy
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -74,7 +74,7 @@ def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
 def find_pattern(sample, pattern, induced=False):
     """Words forming a copy of the pattern, aligned to pattern elements, or None.
 
-    The first copy correspondence.copy_blocks finds, in its order of placement.
+    The first copy posets.copy_blocks finds, in its order of placement.
     """
     block = next(copy_blocks(sample.words, pattern, induced), None)
     return None if block is None else tuple(sample.words[block[0]].tolist())

@@ -670,26 +670,30 @@ def _c_star_disconnected(poset, comps, tol, max_iter, name):
 def _report(poset, family, table, name, alpha, upper, iterations, tol, notes):
     """Report for a certificate alpha and a certified upper bound.
 
-    The lower bound is the objective at alpha. The bracket counts as
-    converged only when it is ordered and no wider than tol.
+    The value is the objective at alpha; the lower bound is the value rounded
+    inward by (m + 4) ulps of it, which covers the roundoff of its m-term
+    entropy sums as in _dual_upper_bound. The bracket counts as converged
+    only when it is ordered and no wider than tol.
     """
     vals = table.values(alpha)
-    lower = float(vals.min())
+    value = float(vals.min())
+    allowance = (len(alpha) + 4) * np.finfo(float).eps * abs(value)
+    lower = math.nextafter(value - allowance, -math.inf)
     converged = lower <= upper <= lower + tol
     if upper < lower:
         notes.append("bracket crossed: upper bound %.3e below the lower bound" % (lower - upper))
     elif not converged:
         notes.append("iteration cap reached with bracket width %.3e" % (upper - lower))
-    atol = max(1e-9, upper - lower)
+    atol = max(1e-9, upper - value)
     active_masks = sorted(
-        (int(table.q_masks[i]) for i in range(len(vals)) if vals[i] <= lower + atol),
+        (int(table.q_masks[i]) for i in range(len(vals)) if vals[i] <= value + atol),
         key=lambda q: tuple(_bits(q)),
     )
     return CriticalExponentReport(
         poset_name=name,
         size=poset.n,
         family_size=len(family),
-        value=lower,
+        value=value,
         lower_bound=lower,
         upper_bound=upper,
         certificate=[float(v) for v in alpha],

@@ -31,6 +31,7 @@ from randposet.posets import (
     blowup,
     boolean_lattice,
     chain,
+    copy_blocks,
     disjoint_union,
     double_diamond,
     fish,
@@ -46,7 +47,6 @@ from randposet.ramsey import (
     CapacityError,
     arrows,
     assignment_to_colouring,
-    count_pattern_copies_direct,
     encode_avoidance,
     enumerate_pattern_copies,
     exponent_bounds,
@@ -286,8 +286,16 @@ def test_criterion_08():
     for d in (3, 4):
         host = boolean_lattice(d)
         copies = enumerate_pattern_copies(host, pattern, mode="all-weak")
-        direct = count_pattern_copies_direct(host, pattern)
-        assert len(copies) == direct
+        # Distinct weak copy maps, as many as the subset-image backtracking
+        # count, are all of them; their image sets are the enumerated copies.
+        rows = np.concatenate(list(copy_blocks(np.arange(1 << d), pattern)))
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert len(rows) == count_copies(pattern, d, "injective", method="backtrack")
+        for i, j in itertools.permutations(range(pattern.n), 2):
+            assert np.all(rows[:, i] != rows[:, j])
+            if pattern.lt(i, j):
+                assert np.all(rows[:, i] & ~rows[:, j] == 0)
+        assert {tuple(row) for row in np.sort(rows, axis=1).tolist()} == set(copies)
         cnf = encode_avoidance(host, pattern, mode="all-weak")
         assert cnf.num_vars == host.n
         assert len(cnf.clauses) == 2 * len(copies)

@@ -1,11 +1,11 @@
 """Unit tests for poset construction, antichain enumeration and copy search."""
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copy_oracle import brute_images
 from randposet.posets import (
     CapacityError,
     DslError,
@@ -47,25 +47,9 @@ def brute_antichain_masks(poset):
     return [m for m in range(1 << poset.n) if poset.is_antichain(m)]
 
 
-def brute_copy_exists(host, pattern, induced):
+def brute_copy_exists(host, pattern, induced, within=None):
     """Copy search by trying every injection."""
-    for image in itertools.permutations(range(host.n), pattern.n):
-        ok = True
-        for i in range(pattern.n):
-            for j in range(pattern.n):
-                if i == j:
-                    continue
-                rel = pattern.lt(i, j)
-                got = host.lt(image[i], image[j])
-                if rel and not got:
-                    ok = False
-                elif induced and not rel and not pattern.lt(j, i) and got:
-                    ok = False
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return next(brute_images(host, pattern, induced, within), None) is not None
 
 
 def random_poset(rng, n, density=0.3):
@@ -351,6 +335,23 @@ def test_contains_copy_matches_brute_force(seed, pn, hn, induced):
                     assert host.lt(got[i], got[j])
                 elif induced and i != j and not pattern.lt(j, i):
                     assert not host.comparable(got[i], got[j])
+    within = rng.getrandbits(hn)
+    got = contains_copy(host, pattern, induced=induced, within=within)
+    assert (got is not None) == brute_copy_exists(host, pattern, induced, within)
+    assert got is None or all(within >> v & 1 for v in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=0, max_value=6))
+def test_symmetries_and_isomorphism_match_brute_force(seed, n):
+    rng = random.Random(seed)
+    p = random_poset(rng, n, density=rng.random())
+    assert sorted(automorphisms(p)) == sorted(brute_images(p, p, True))
+    assert sorted(reverse_automorphisms(p)) == sorted(brute_images(p, reverse(p), True))
+    perm = rng.sample(range(n), n)
+    assert is_isomorphic(p, Poset(n, [(perm[i], perm[j]) for i, j in p.cover_pairs()]))
+    other = random_poset(rng, n, density=rng.random())
+    assert is_isomorphic(p, other) == brute_copy_exists(other, p, True)
 
 
 def test_automorphism_counts():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copy_oracle import brute_images
 from randposet.posets import (
     CapacityError,
     PosetError,
@@ -13,6 +14,7 @@ from randposet.posets import (
     boolean_lattice,
     catalog,
     chain,
+    contains_copy,
     diamond,
     double_diamond,
     induced_subposet,
@@ -31,7 +33,6 @@ from randposet.ramsey import (
     CnfFormula,
     arrows,
     assignment_to_colouring,
-    count_pattern_copies_direct,
     encode_avoidance,
     enumerate_pattern_copies,
     exponent_bounds,
@@ -246,12 +247,26 @@ def test_induced_self_copy_is_unique():
     assert copies == [tuple(range(8))]
 
 
-def test_enumeration_matches_direct_backtracking():
+def test_enumeration_matches_brute_force():
     host = boolean_lattice(3)
     for pattern in (chain(3), vee(), diamond()):
         for mode in ("all-weak", "all-induced"):
             scanned = enumerate_pattern_copies(host, pattern, mode=mode)
-            assert len(scanned) == count_pattern_copies_direct(host, pattern, mode=mode)
+            images = brute_images(host, pattern, mode == "all-induced")
+            assert scanned == sorted({tuple(sorted(image)) for image in images})
+
+
+def test_verify_colouring_at_the_64_element_edge():
+    # The top of B6 has down-set word 2^64 - 1, the last one the copy search takes.
+    host = boolean_lattice(6)
+    colouring = [1 if i.bit_count() <= 2 else 2 for i in range(host.n)]
+    ok, (side, elements) = verify_colouring(host, colouring, chain(4), chain(4))
+    assert not ok and side == 2 and len(elements) == 4
+    assert all(colouring[v] == 2 for v in elements)
+    assert all(host.lt(a, b) for a, b in zip(elements, elements[1:]))
+    assert verify_colouring(host, colouring, chain(5), chain(5)) == (True, None)
+    with pytest.raises(CapacityError):
+        contains_copy(chain(65), chain(2))
 
 
 def test_enumeration_copy_guard():
