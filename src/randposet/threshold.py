@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, linprog, minimize_scalar
-from scipy.special import xlogy
 
 from .posets import (
     CapacityError,
@@ -39,17 +37,171 @@ WS_MARGIN = 0.05
 ACTIVE_TOL = 1e-3
 
 
-def entropy(alpha):
-    """Shannon entropy in nats, with 0 log 0 = 0."""
+def _xlogy(x, y):
+    """x log y elementwise, with 0 log y = 0.
+
+    Arrays go through numpy's log. Scalars go through libm's, which numpy's
+    SIMD log misses by an ulp on a few inputs in a thousand, so the closed
+    forms keep their last bit.
+    """
+    if np.ndim(x) == 0:
+        return 0.0 if x == 0 else x * math.log(y)
+    return x * np.log(np.where(x != 0, y, 1.0))
+
+
+def _weights(alpha):
+    """alpha as a float array, with coordinates in [-1e-12, 0) set to 0."""
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha < -1e-12):
         raise PosetError("weighting has a negative coordinate")
-    return float(-xlogy(alpha, alpha).sum())
+    return np.maximum(alpha, 0.0)
+
+
+def entropy(alpha):
+    """Shannon entropy in nats, with 0 log 0 = 0; never -0.0."""
+    alpha = _weights(alpha)
+    return float(-_xlogy(alpha, alpha).sum()) + 0.0
 
 
 def binary_entropy(x):
-    """Entropy of a two-point distribution (x, 1-x)."""
-    return entropy([x, 1.0 - x])
+    """Entropy of a two-point distribution (x, 1-x), computed in scalars."""
+    x, y = _weights([x, 1.0 - x]).tolist()
+    return 0.0 - (_xlogy(x, x) + _xlogy(y, y))
+
+
+# -- one-dimensional solvers ---------------------------------------------------
+
+# _brentq and _minimize_bounded are line-for-line ports of SciPy's brentq.c
+# and optimize._minimize_scalar_bounded, so the closed forms keep their values
+# to the last bit. SciPy is under the BSD 3-clause licence: Copyright (c)
+# 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+
+
+def _brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method; f(xa) and f(xb) must differ in sign."""
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise PosetError("root search met a NaN at x = %r" % (x,))
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise PosetError("root is not bracketed in [%r, %r]" % (xa, xb))
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise PosetError("root search did not converge in %d iterations" % maxiter)
+
+
+def _minimize_bounded(func, x1, x2, xatol, maxfun=500):
+    """(x, func(x)) at a local minimum of func on [x1, x2]: golden section with parabolic steps."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # Check for acceptability of parabola
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
 
 
 # -- the per-subposet evaluation table ----------------------------------------
@@ -113,7 +265,7 @@ class ExponentTable:
         alpha = np.asarray(alpha, dtype=float)
         tiled = np.tile(alpha, len(self.q_masks))
         beta = np.bincount(self.index.ravel(), weights=tiled, minlength=self.total_len)
-        terms = -xlogy(beta, beta)
+        terms = -_xlogy(beta, beta)
         seg = np.add.reduceat(terms, self.seg_offsets[:-1])
         # reduceat on an empty trailing segment cannot occur: every subposet
         # has at least the empty antichain, so all segments are nonempty.
@@ -200,9 +352,10 @@ class CriticalExponentReport:
     # "full_evaluations" counts the full-table evaluations c_star makes
     # itself (those inside the KKT polish and the LP bound are not
     # counted), and "polls" holds one dict per poll of the ascent with its
-    # full evaluations, largest working set, working-set misses and the
-    # bracket width after it. A disconnected poset lists its components'
-    # stats under "components".
+    # full evaluations, largest working set, working-set misses, the LP
+    # bound's simplex pivots ("lp_pivots") and duality gap ("lp_gap", None
+    # when the solve failed), and the bracket width after it. A
+    # disconnected poset lists its components' stats under "components".
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self):
@@ -244,6 +397,9 @@ class Classification:
 
 # The KKT polish and the LP bound use at most this many active subposets.
 _DUAL_MAX_TERMS = 120
+# _game_lp's feasibility and pivot tolerance, and its pivot cap.
+_LP_TOL = 1e-12
+_LP_MAX_PIVOTS = 20000
 
 
 def _active_rows(vals):
@@ -252,15 +408,70 @@ def _active_rows(vals):
     return order[vals[order] <= vals.min() + ACTIVE_TOL][:_DUAL_MAX_TERMS].tolist()
 
 
-def _dual_upper_bound(table, alpha):
+def _game_lp(M):
+    """Optimal mixed strategies of the matrix game M, by a dual simplex.
+
+    The column player picks lam on the simplex to minimize max_j (M lam)_j,
+    the row player picks alpha to maximize min_q (M^T alpha)_q. With
+    A = M - min M + 1 > 0, the row player's LP is min 1^T x subject to
+    A^T x >= 1 and x >= 0, with alpha = x / 1^T x. Its slack basis is dual
+    feasible, so a dual simplex needs no phase one. Bland's rule (the
+    leaving row of least basic index, the entering column of least index
+    among ratio ties) keeps it finite. lam is the slacks' reduced costs,
+    normalised. The tableau is (k + 1) x (m + k + 1) for m x k. Returns
+    (lam, alpha, pivots); lam and alpha are None if the solve fails.
+    """
+    m, k = M.shape
+    cons = np.hstack([-(M - M.min() + 1.0).T, np.eye(k)])
+    tab = np.zeros((k + 1, m + k + 1))
+    tab[:k, :-1] = cons
+    tab[:k, -1] = -1.0
+    tab[k, :m] = 1.0
+    basis = np.arange(m, m + k)
+    pivots = 0
+    while True:
+        rows = np.flatnonzero(tab[:k, -1] < -_LP_TOL)
+        if rows.size == 0:
+            break
+        if pivots >= _LP_MAX_PIVOTS:
+            return None, None, pivots
+        r = rows[np.argmin(basis[rows])]
+        cols = np.flatnonzero(tab[r, :-1] < -_LP_TOL)
+        if cols.size == 0:
+            return None, None, pivots
+        ratios = np.maximum(tab[k, cols], 0.0) / -tab[r, cols]
+        j = cols[np.argmin(ratios)]
+        tab[r] /= tab[r, j]
+        col = tab[:, j].copy()
+        col[r] = 0.0
+        tab -= np.outer(col, tab[r])
+        basis[r] = j
+        pivots += 1
+    # Both strategies come from the final basis, not from the updated
+    # tableau, whose roundoff grows with the pivots.
+    basic = cons[:, basis]
+    try:
+        x_basic = np.linalg.solve(basic, np.full(k, -1.0))
+        lam = np.maximum(-np.linalg.solve(basic.T, (basis < m).astype(float)), 0.0)
+    except np.linalg.LinAlgError:
+        return None, None, pivots
+    x = np.zeros(m)
+    in_x = basis < m
+    x[basis[in_x]] = np.maximum(x_basic[in_x], 0.0)
+    return lam / lam.sum(), x / x.sum(), pivots
+
+
+def _dual_upper_bound(table, alpha, record=None):
     """Certified upper bound from supergradients at (a slightly interior) alpha.
 
     For weights lambda on the simplex over a set of subposets, concavity of
     each exponent gives, for every feasible weighting, a bound
-    sum_q lambda_q / |Q_q| + max_j (sum_q lambda_q grad_q)_j. A small linear
-    program picks lambda; the bound is then recomputed from lambda alone, so
-    the solver's own tolerances cannot lower it, and widened by a roundoff
-    allowance before rounding outward.
+    sum_q lambda_q / |Q_q| + max_j (sum_q lambda_q grad_q)_j. That is the
+    matrix game M = grads + 1/|Q|, and ``_game_lp`` picks lambda. The bound
+    is then recomputed from lambda alone and widened by a roundoff
+    allowance before rounding outward. A failed solve gives inf. With
+    ``record``, the solve's pivots and its duality gap
+    max_j (M lambda)_j - min_q (M^T alpha)_q go in as lp_pivots and lp_gap.
     """
     alpha = np.asarray(alpha, dtype=float)
     m = alpha.size
@@ -270,23 +481,13 @@ def _dual_upper_bound(table, alpha):
     grads = np.column_stack([table.gradient(interior, qi) for qi in chosen])
     inv_sizes = np.array([1.0 / table.sizes[qi] for qi in chosen])
     k = len(chosen)
-    c = np.concatenate([inv_sizes, [1.0]])
-    a_ub = np.hstack([grads, -np.ones((m, 1))])
-    b_ub = np.zeros(m)
-    a_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * k + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
+    game = grads + inv_sizes
+    lam, row_strategy, pivots = _game_lp(game)
+    if record is not None:
+        record["lp_pivots"] = pivots
+        record["lp_gap"] = None if lam is None else float((game @ lam).max() - (row_strategy @ game).min())
+    if lam is None:
         return math.inf
-    lam = np.maximum(res.x[:k], 0.0)
-    lam /= lam.sum()
     head = lam * inv_sizes
     bound = math.fsum(head) + float((grads @ lam).max())
     # (k + m + 4) ulps of the terms' magnitude cover the roundoff of these
@@ -344,7 +545,7 @@ def _kkt_solve(table, alpha, support, active, iters=60):
             beta = np.bincount(sigma_s[a], weights=x, minlength=m_q[a])
             safe = np.maximum(beta, 1e-300)
             grads[:, a] = (-np.log(safe[sigma_s[a]]) - 1.0) / sizes[a]
-            h_vals[a] = float(-xlogy(beta, beta).sum()) / sizes[a]
+            h_vals[a] = float(-_xlogy(beta, beta).sum()) / sizes[a]
             inv = np.where(beta > 0, 1.0 / safe, 0.0)
             hess += lam[a] * (-np.where(same_s[a], inv[sigma_s[a]][:, None], 0.0) / sizes[a])
         r1 = grads @ lam - nu
@@ -425,11 +626,11 @@ def balanced_solve(poset, family=None):
     n = poset.n
 
     def chain_side(x):
-        return (-2.0 * xlogy(x, x) - xlogy(1.0 - 2.0 * x, 1.0 - 2.0 * x)) / 2.0
+        return (-2.0 * _xlogy(x, x) - _xlogy(1.0 - 2.0 * x, 1.0 - 2.0 * x)) / 2.0
 
     def full_side(x):
         w = 1.0 - 2.0 * x
-        return (-2.0 * xlogy(x, x) - xlogy(w, w / (a - 2.0))) / n
+        return (-2.0 * _xlogy(x, x) - _xlogy(w, w / (a - 2.0))) / n
 
     def diff(x):
         return chain_side(x) - full_side(x)
@@ -447,7 +648,7 @@ def balanced_solve(poset, family=None):
             root = grid[i]
             break
         if vals[i] * vals[i + 1] < 0:
-            root = brentq(diff, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+            root = _brentq(diff, grid[i], grid[i + 1])
             break
     if root is None:
         raise PosetError(
@@ -519,11 +720,12 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
 
     The bracket comes from the certificate and the LP dual alone: the lower
     bound is the objective over all subposets at the certificate, the upper
-    bound is ``_dual_upper_bound`` recomputed from the dual multipliers. It
-    is certified after the starts and after each poll, and nowhere else. A
-    crossed bracket is reported, not clamped. Disconnected posets decompose
-    as the minimum over their components. ``stats`` on the report counts
-    the work (see ``CriticalExponentReport``).
+    bound is ``_dual_upper_bound`` recomputed from the multipliers that the
+    dual simplex of ``_game_lp`` picks. It is certified after the starts and
+    after each poll, and nowhere else. A crossed bracket is reported, not
+    clamped. Disconnected posets decompose as the minimum over their
+    components. ``stats`` on the report counts the work, each poll's LP
+    pivots and duality gap among it (see ``CriticalExponentReport``).
     """
     if poset.n == 0:
         raise PosetError("exponent of the empty poset is undefined")
@@ -625,7 +827,7 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
         try_improvements(ws_best_alpha)
         try_improvements(_kkt_polish(table, best_alpha))
         record["full_evaluations"] = full_evaluations - evaluations_before
-        upper = min(upper, _dual_upper_bound(table, best_alpha))
+        upper = min(upper, _dual_upper_bound(table, best_alpha, record))
         record["bracket_width"] = upper - best_val
         polls.append(record)
 
@@ -717,7 +919,7 @@ def _lift(c, kind):
         f = lambda x: 2.0 * (1.0 - 2.0 * x) * c - 2.0 * x * math.log(2.0) - binary_entropy(2.0 * x)
     else:
         raise PosetError("kind must be 'bottom' or 'bottom-top'")
-    x = float(brentq(f, 1e-12, 0.5 - 1e-12, xtol=1e-15, rtol=8.9e-16))
+    x = float(_brentq(f, 1e-12, 0.5 - 1e-12))
     return x, binary_entropy(x) if kind == "bottom" else float((1.0 - 2.0 * x) * c)
 
 
@@ -814,17 +1016,17 @@ def bounded_upper_bound(poset, family=None):
     def phi(x):
         best = binary_entropy(x)
         w = 1.0 - 2.0 * x
-        lx = -2.0 * xlogy(x, x)
+        lx = -2.0 * _xlogy(x, x)
         for size, a_q in terms:
-            val = (lx - xlogy(w, w / (a_q - 2.0))) / size
+            val = (lx - _xlogy(w, w / (a_q - 2.0))) / size
             if val < best:
                 best = val
         return best
 
     lo = max(1.0 / a_p, 1e-9)
     hi = 0.5
-    res = minimize_scalar(lambda x: -phi(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-    candidates = [phi(lo), phi(hi), -float(res.fun)]
+    _, fun = _minimize_bounded(lambda x: -phi(x), lo, hi, xatol=1e-13)
+    candidates = [phi(lo), phi(hi), -float(fun)]
     # A plain float, not a numpy scalar, so that JSON can hold it.
     return float(max(candidates))
 

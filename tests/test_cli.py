@@ -1,9 +1,13 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import randposet
 from randposet import threshold
 from randposet.cli import main
 from randposet.correspondence import count_copies
@@ -113,7 +117,7 @@ def test_cstar_out_of_memory_exits_capacity(capsys, monkeypatch):
 
 def test_cstar_crossed_bracket_exits_unconverged(capsys, monkeypatch):
     dual = threshold._dual_upper_bound
-    monkeypatch.setattr(threshold, "_dual_upper_bound", lambda table, alpha: dual(table, alpha) - 1e-6)
+    monkeypatch.setattr(threshold, "_dual_upper_bound", lambda *a: dual(*a) - 1e-6)
     code, out, _ = run(capsys, "cstar", "v")
     assert code == 3
     assert "note: bracket crossed" in out
@@ -130,7 +134,10 @@ def test_cstar_stats_go_to_stderr_only(capsys, extra):
     assert out == plain
     stats = json.loads(err)
     assert stats["full_evaluations"] >= len(stats["polls"]) >= 1
-    assert set(stats["polls"][0]) == {"full_evaluations", "working_set", "misses", "bracket_width"}
+    assert set(stats["polls"][0]) == {
+        "full_evaluations", "working_set", "misses", "lp_pivots", "lp_gap", "bracket_width"
+    }
+    assert stats["polls"][0]["lp_pivots"] >= 1 and abs(stats["polls"][0]["lp_gap"]) <= 1e-12
 
 
 def test_table1_stats_name_each_row(capsys):
@@ -142,6 +149,29 @@ def test_table1_stats_name_each_row(capsys):
     assert [r["name"] for r in rows] == ["C(2)", "V"]
     # C(2) is certified at the uniform start without an ascent.
     assert rows[0]["stats"]["polls"] == [] and len(rows[1]["stats"]["polls"]) == 1
+
+
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from randposet.cli import main
+from randposet.posets import diamond
+from randposet.threshold import bounded_upper_bound, star_threshold
+assert main(["cstar", "diamond", "--json"]) == 0
+assert main(["table1", "--rows", "V"]) == 0
+star_threshold()
+bounded_upper_bound(diamond())
+"""
+
+
+def test_commands_run_without_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(randposet.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"poset": "diamond"' in proc.stdout and proc.stdout.count("\nV ") == 1
 
 
 def test_classify_text_and_json(capsys):

@@ -71,6 +71,17 @@ def test_entropy_basics():
     assert binary_entropy(0.0) == pytest.approx(0.0)
 
 
+def test_entropy_treats_roundoff_negatives_as_zero():
+    # The guard admits coordinates down to -1e-12; they count as 0, and an
+    # entropy of 0 is +0.0, not -0.0.
+    assert math.copysign(1.0, entropy([-1e-13, 1.0])) == 1.0 and entropy([-1e-13, 1.0]) == 0.0
+    assert entropy([-1e-13, 0.5, 0.5]) == entropy([0.5, 0.5])
+    for x in (0.0, 1.0):
+        assert math.copysign(1.0, binary_entropy(x)) == 1.0 and binary_entropy(x) == 0.0
+    with pytest.raises(PosetError):
+        entropy([-1e-11, 1.0])
+
+
 # -- closed forms ---------------------------------------------------------------
 
 
@@ -146,6 +157,11 @@ def test_lift_bound_is_a_lower_bound(seed, n):
                    + [(n, i) for i in range(n)])
     bound = lift_bound(c_star(base).value, kind="bottom")
     assert bound <= c_star(lifted).value + 1e-6
+
+
+def test_root_search_without_a_sign_change_is_an_error():
+    with pytest.raises(PosetError, match="not bracketed"):
+        threshold._brentq(lambda x: x * x + 1.0, 0.0, 1.0)
 
 
 # -- the optimizer --------------------------------------------------------------
@@ -247,6 +263,48 @@ def test_dual_upper_bound_is_not_below_the_certificate(poset):
     assert rep.lower_bound <= rep.upper_bound
 
 
+def test_lp_vertex_tightens_the_bracket():
+    # The simplex's vertex solution takes the bound to roundoff; an
+    # interior-point LP left these widths at 5.5e-11 and 1.3e-12.
+    for poset, width in ((catalog("y''"), 2e-11), (fish(), 1e-12)):
+        for tol in (1e-6, 1e-9):
+            rep = c_star(poset, tol=tol)
+            assert 0 <= rep.upper_bound - rep.lower_bound < width
+
+
+def _random_game(rng, kind):
+    m, k = int(rng.integers(1, 40)), int(rng.integers(1, 25))
+    if kind == "normal":
+        return rng.normal(size=(m, k))
+    if kind == "ties":
+        return rng.integers(-2, 3, size=(m, k)).astype(float)
+    if kind == "duplicate columns":
+        return rng.normal(size=(m, k))[:, rng.integers(0, k, size=k)]
+    if kind == "one column":
+        return rng.normal(size=(m, 1))
+    if kind == "one row":
+        return rng.normal(size=(1, k))
+    # Near-equal payoffs, like the exponent gradients behind the bound.
+    return 0.4 + 1e-6 * rng.normal(size=(m, k))
+
+
+@pytest.mark.parametrize(
+    "kind", ["normal", "ties", "duplicate columns", "one column", "one row", "near-equal"]
+)
+def test_game_lp_closes_the_duality_gap(kind):
+    # Each strategy bounds the game's value from its side, so a gap near 0
+    # certifies both without a reference solver.
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        M = _random_game(rng, kind)
+        lam, alpha, pivots = threshold._game_lp(M)
+        assert lam is not None and pivots <= 20 * sum(M.shape)
+        assert lam.min() >= 0 and alpha.min() >= 0
+        assert lam.sum() == pytest.approx(1.0) and alpha.sum() == pytest.approx(1.0)
+        gap = (M @ lam).max() - (alpha @ M).min()
+        assert abs(gap) <= 1e-12 * (1.0 + np.abs(M).max())
+
+
 def test_tight_bracket_does_not_cross_by_roundoff():
     # The uniform weighting is optimal, c* = log(13)/8, and the float sum of
     # the objective there lands one ulp above the float log(13)/8. So both
@@ -262,7 +320,7 @@ def test_tight_bracket_does_not_cross_by_roundoff():
 
 def test_crossed_bracket_is_reported_not_clamped(monkeypatch):
     dual = threshold._dual_upper_bound
-    monkeypatch.setattr(threshold, "_dual_upper_bound", lambda table, alpha: dual(table, alpha) - 1e-6)
+    monkeypatch.setattr(threshold, "_dual_upper_bound", lambda *a: dual(*a) - 1e-6)
     rep = c_star(vee())
     assert rep.upper_bound < rep.lower_bound
     assert rep.converged is False
