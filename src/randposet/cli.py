@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from .posets import (
     CapacityError,
@@ -310,33 +311,49 @@ def _cmd_ramsey_number(args):
     return EXIT_OK
 
 
-def _encode_from_args(args):
+def _timed(seconds, stage, func, *args):
+    """func(*args), with its wall time stored as seconds[stage]."""
+    started = time.perf_counter()
+    out = func(*args)
+    seconds[stage] = time.perf_counter() - started
+    return out
+
+
+def _encode_from_args(args, seconds):
     host = _poset(args.host)
     pattern = _poset(args.pattern)
-    return host, ramsey.encode_avoidance(host, pattern, mode=args.mode)
+    copies = _timed(seconds, "copies", ramsey.pattern_copies, host, pattern, args.mode)
+    return _timed(seconds, "cnf", ramsey.encode_copies, host.n, copies)
+
+
+def _sat_stats(cnf, seconds, **extra):
+    return {"num_vars": cnf.num_vars, "num_clauses": cnf.num_clauses, "seconds": seconds, **extra}
 
 
 def _cmd_sat_encode(args):
-    _, cnf = _encode_from_args(args)
-    text = cnf.to_dimacs()
+    seconds = {}
+    cnf = _encode_from_args(args, seconds)
+    text = _timed(seconds, "dimacs_write", cnf.to_dimacs)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print("wrote %s (%d vars, %d clauses)" % (args.output, cnf.num_vars, len(cnf.clauses)))
+        print("wrote %s (%d vars, %d clauses)" % (args.output, cnf.num_vars, cnf.num_clauses))
     else:
         sys.stdout.write(text)
+    _emit_stats(args, _sat_stats(cnf, seconds))
     return EXIT_OK
 
 
 def _cmd_sat_solve(args):
+    seconds = {}
     if args.dimacs:
         with open(args.dimacs, "r", encoding="utf-8") as fh:
-            cnf = ramsey.parse_dimacs(fh.read())
+            cnf = _timed(seconds, "dimacs_parse", ramsey.parse_dimacs, fh.read())
     elif args.host and args.pattern:
-        _, cnf = _encode_from_args(args)
+        cnf = _encode_from_args(args, seconds)
     else:
         raise UsageError("need either --dimacs or --host with --pattern")
-    res = ramsey.solve_cnf(cnf, time_budget=args.time_budget)
+    res = _timed(seconds, "solve", ramsey.solve_cnf, cnf, args.time_budget)
     record = {"status": res.status}
     lines = [res.status.upper()]
     if res.status == "sat":
@@ -344,6 +361,7 @@ def _cmd_sat_solve(args):
         record["colouring"] = list(colouring)
         lines.append("colouring " + " ".join(str(c) for c in colouring))
     _emit(args, record, lines)
+    _emit_stats(args, _sat_stats(cnf, seconds, solver=res.stats))
     return EXIT_UNCONVERGED if res.status == "unknown" else EXIT_OK
 
 
@@ -469,6 +487,7 @@ def _build_parser():
     p.add_argument("--pattern", required=True)
     p.add_argument("--mode", choices=["all-weak", "all-induced", "subcube"], default="all-weak")
     p.add_argument("--output", default=None)
+    p.add_argument("--stats", action="store_true", help="sizes and time per stage as JSON on stderr")
 
     p = add("sat-solve", _cmd_sat_solve, "solve an avoidance CNF with the embedded solver")
     p.add_argument("--dimacs", default=None)
@@ -476,6 +495,7 @@ def _build_parser():
     p.add_argument("--pattern", default=None)
     p.add_argument("--mode", choices=["all-weak", "all-induced", "subcube"], default="all-weak")
     p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--stats", action="store_true", help="sizes, time per stage and solver counts as JSON on stderr")
 
     p = add("simulate", _cmd_simulate, "Monte Carlo containment sweep over exponents")
     p.add_argument("--pattern", required=True)

@@ -44,6 +44,8 @@ from . import threshold
 ARROW_SIZE_CAP = 24
 # Bound on m^d, which bounds the copies in a d-cube of a pattern with m antichains.
 SCAN_GUARD = 10 ** 9
+# Copy rows held before _copy_images drops repeats (1 MB at width 8).
+_HELD_ROWS = 1 << 15
 
 
 def _family(patterns):
@@ -62,12 +64,8 @@ def _decide_arrow(words, firsts, seconds, induced):
     One clause per copy: no first-family copy all in colour 1, no second one
     all in colour 2. Returns (True, None) or (False, witness colouring).
     """
-    signed = (
-        (sign, image)
-        for sign, patterns in ((-1, firsts), (1, seconds))
-        for image in _copy_images(words, patterns, induced)
-    )
-    res = solve_cnf(_avoidance_cnf(len(words), signed))
+    blocks = [(sign, _copy_images(words, patterns, induced)) for sign, patterns in ((-1, firsts), (1, seconds))]
+    res = solve_cnf(_avoidance_cnf(len(words), blocks))
     if res.status == "unsat":
         return True, None
     return False, assignment_to_colouring(res.assignment, len(words))
@@ -145,22 +143,60 @@ def _boolean_dimension(host):
     return d
 
 
+def _distinct_rows(rows):
+    """The distinct rows of an array with entries >= -1, in lexicographic order.
+
+    Runs of columns are packed into int64 keys, as many as fit in 63 bits, so
+    that one sort key stands for several columns.
+    """
+    bits = int(rows.max(initial=0) + 1).bit_length()
+    per = 63 // bits
+    keys = []
+    for lo in range(0, max(rows.shape[1], 1), per):
+        key = np.zeros(len(rows), dtype=np.int64)
+        for col in rows[:, lo : lo + per].T:
+            key = key << bits | (col + 1)
+        keys.append(key)
+    order = np.lexsort(keys[::-1])
+    repeat = np.ones(len(rows), dtype=bool)
+    repeat[0:1] = False
+    for key in keys:
+        key = key[order]
+        repeat[1:] &= key[1:] == key[:-1]
+    return rows[order[~repeat]]
+
+
 def _copy_images(words, patterns, induced):
-    """Sorted distinct sorted index tuples of the copies of any pattern among words."""
-    images = set()
+    """The distinct copies of any pattern among words, as rows of sorted indices.
+
+    One int32 row per image set, ascending; a family of mixed sizes pads the
+    shorter rows with -1 at the end. Rows come in lexicographic order, which
+    is the order ``sorted`` gives the image tuples. Repeats are dropped
+    whenever the rows held since the last pass outnumber both the distinct
+    rows and _HELD_ROWS, so memory follows the distinct copies, not the
+    copies met.
+    """
+    width = max(p.n for p in patterns)
+    distinct, held, pending = np.empty((0, width), dtype=np.int32), 0, []
     for pat in patterns:
         for block in copy_blocks(words, pat, induced):
-            images.update(map(tuple, np.sort(block, axis=1).tolist()))
-    return sorted(images)
+            rows = np.full((len(block), width), -1, dtype=np.int32)
+            rows[:, : pat.n] = np.sort(block, axis=1)
+            pending.append(rows)
+            held += len(rows)
+            if held > max(len(distinct), _HELD_ROWS):
+                distinct, held, pending = _distinct_rows(np.concatenate([distinct] + pending)), 0, []
+    return _distinct_rows(np.concatenate([distinct] + pending))
 
 
-def enumerate_pattern_copies(host, pattern, mode="all-weak"):
-    """All copies of a pattern in a subset-lattice host, as sorted image tuples.
+def pattern_copies(host, pattern, mode="all-weak"):
+    """All copies of a pattern in a subset-lattice host, as rows of an int32 array.
 
-    Modes: "all-weak" (injective order-preserving images), "all-induced"
-    (also order-reflecting), "subcube" (images of whole coordinate subcubes;
-    the pattern must itself be a subset lattice). Duplicate images arising
-    from pattern automorphisms are removed.
+    Each row is a copy's image, ascending; rows are distinct and in
+    lexicographic order. Modes: "all-weak" (injective order-preserving
+    images), "all-induced" (also order-reflecting), "subcube" (images of
+    whole coordinate subcubes; the pattern must itself be a subset lattice).
+    Duplicate images arising from pattern automorphisms are removed.
     """
     d = _boolean_dimension(host)
     if mode == "subcube":
@@ -174,7 +210,7 @@ def enumerate_pattern_copies(host, pattern, mode="all-weak"):
             mask = sum(1 << t for t in free)
             subs = [w for w in range(1 << d) if not w & ~mask]
             images += [tuple(base | s for s in subs) for base in range(1 << d) if not base & mask]
-        return sorted(images)
+        return np.array(sorted(images), dtype=np.int32).reshape(-1, pattern.n)
     if mode not in ("all-weak", "all-induced"):
         raise PosetError("mode must be subcube, all-weak or all-induced")
     m = len(antichains(pattern))
@@ -186,44 +222,116 @@ def enumerate_pattern_copies(host, pattern, mode="all-weak"):
     return _copy_images(np.arange(1 << d), [pattern], mode == "all-induced")
 
 
+def enumerate_pattern_copies(host, pattern, mode="all-weak"):
+    """``pattern_copies`` as a list of sorted image tuples."""
+    return list(map(tuple, pattern_copies(host, pattern, mode).tolist()))
+
+
 # -- CNF machinery --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class CnfFormula:
-    """A CNF over one boolean variable per host element.
+    """A CNF over one boolean variable per host element, in one flat store.
 
     Variables are 1-based host element indices; a positive literal means the
-    element gets colour 1.
+    element gets colour 1. ``lits`` (int32, nonzero) holds every clause's
+    literals back to back, and clause i is ``lits[offsets[i]:offsets[i + 1]]``
+    (``offsets`` is int64, one longer than the clause count).
     """
 
     num_vars: int
-    clauses: list
+    lits: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_clauses(cls, num_vars, clauses):
+        """The formula with the given clauses, each a sequence of nonzero literals."""
+        clauses = [tuple(c) for c in clauses]
+        lengths = np.array([len(c) for c in clauses], dtype=np.int64)
+        lits = _literal_array([l for c in clauses for l in c])
+        return cls(num_vars, lits, np.concatenate(([0], np.cumsum(lengths))))
+
+    @property
+    def num_clauses(self):
+        return len(self.offsets) - 1
+
+    @property
+    def clauses(self):
+        """The clauses as a list of literal tuples (a copy; the store stays flat)."""
+        flat = self.lits.tolist()
+        return [tuple(flat[a:b]) for a, b in itertools.pairwise(self.offsets.tolist())]
 
     def to_dimacs(self):
         """Standard DIMACS text; a comment names the copy before each run of its clauses.
 
         The copy is the clause's variable set as 0-based host elements.
         """
-        lines = ["p cnf %d %d" % (self.num_vars, len(self.clauses))]
-        copy = None
-        for clause in self.clauses:
-            key = tuple(map(abs, clause))
-            if key != copy:
-                lines.append("c copy " + ",".join([str(v - 1) for v in key]))
-                copy = key
-            lines.append(" ".join([str(l) for l in clause]) + " 0")
-        return "\n".join(lines) + "\n"
+        lengths = np.diff(self.offsets)
+        parts = ["p cnf %d %d\n" % (self.num_vars, len(lengths))]
+        for lo in range(0, len(lengths), _DIMACS_CLAUSES):
+            # The clause before lo only tells whether clause lo opens a run.
+            first, hi = max(lo - 1, 0), min(lo + _DIMACS_CLAUSES, len(lengths))
+            lits = self.lits[self.offsets[first] : self.offsets[hi]]
+            parts.append(_dimacs_lines(lits, lengths[first:hi], lo - first))
+        return "".join(parts)
+
+
+# Clauses per piece of DIMACS text written, and literals per piece read; a
+# piece's arrays and Python lists live only until it is converted.
+_DIMACS_CLAUSES = 1 << 12
+_DIMACS_TOKENS = 1 << 15
+
+
+def _dimacs_lines(lits, lengths, skip):
+    """The DIMACS lines of clauses stored back to back, from clause ``skip`` on.
+
+    A clause opens a run, and gets a ``c copy`` comment, unless the clause
+    before has its length and its variables, position by position. The text
+    comes from one %-format whose template has a piece per clause.
+    """
+    var = np.abs(lits)
+    clause_of = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(len(lits))
+    prev = pos - lengths[clause_of]  # the same position in the clause before
+    differs = np.zeros(len(lits), dtype=bool)
+    differs[prev >= 0] = var[prev >= 0] != var[prev[prev >= 0]]
+    opens = np.ones(len(lengths), dtype=bool)
+    opens[1:] = lengths[1:] != lengths[:-1]
+    opens[clause_of[differs]] = True
+    shown = clause_of >= skip
+    lits, var, clause_of = lits[shown], var[shown], clause_of[shown] - skip
+    lengths, opens = lengths[skip:], opens[skip:]
+    # Values in output order: each opening clause's copy (var - 1), then its literals.
+    size = lengths * (1 + opens)
+    at = (np.cumsum(size) - size)[clause_of] + np.arange(len(lits)) - (np.cumsum(lengths) - lengths)[clause_of]
+    values = np.empty(int(size.sum()), dtype=np.int64)
+    values[at + (lengths * opens)[clause_of]] = lits
+    values[at[opens[clause_of]]] = var[opens[clause_of]] - 1
+    comment = {n: "c copy " + ",".join(["%d"] * n) + "\n" for n in set(lengths.tolist())}
+    line = {n: " ".join(["%d"] * n) + " 0\n" for n in comment}
+    template = "".join([comment[n] + line[n] if o else line[n] for n, o in zip(lengths.tolist(), opens.tolist())])
+    return template % tuple(values.tolist())
+
+
+def _literal_array(values):
+    """Integer literals as an int32 array; PosetError for one beyond int32."""
+    try:
+        return np.array(values, dtype=np.int32)
+    except OverflowError:
+        big = next(v for v in values if not -(2 ** 31) < v < 2 ** 31)
+        raise PosetError("literal %d out of range" % big) from None
 
 
 def parse_dimacs(text):
     """Read a DIMACS CNF file back into a CnfFormula (comments dropped).
 
     Each clause ends at its 0, so a clause may span lines and a line may hold
-    several clauses; literals after the last 0 form one more clause.
+    several clauses; a lone 0 is the empty clause, and literals after the
+    last 0 form one more clause.
     """
     num_vars = None
-    lits = []
+    pieces, tokens = [], []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -235,20 +343,22 @@ def parse_dimacs(text):
                     raise PosetError("bad DIMACS header: %r" % line)
                 num_vars = int(parts[2])
                 continue
-            lits += map(int, line.split())
+            tokens += map(int, line.split())
         except ValueError:
             raise PosetError("DIMACS line %d is not integers: %r" % (lineno, line)) from None
-    clauses = []
-    start = 0
-    for _ in range(lits.count(0)):
-        end = lits.index(0, start)
-        clauses.append(tuple(lits[start:end]))
-        start = end + 1
-    if start < len(lits):
-        clauses.append(tuple(lits[start:]))
+        if len(tokens) >= _DIMACS_TOKENS:
+            pieces.append(_literal_array(tokens))
+            tokens = []
+    values = np.concatenate(pieces + [_literal_array(tokens)])
+    # Clause i ends at the i-th zero, after the literals before that zero but for the i zeros.
+    ends = np.flatnonzero(values == 0)
+    offsets = np.concatenate(([0], ends - np.arange(len(ends))))
+    lits = values[values != 0]
+    if len(lits) > offsets[-1]:
+        offsets = np.append(offsets, len(lits))
     if num_vars is None:
-        num_vars = max((abs(l) for c in clauses for l in c), default=0)
-    return CnfFormula(num_vars, clauses)
+        num_vars = int(np.abs(lits).max(initial=0))
+    return CnfFormula(num_vars, lits, offsets)
 
 
 def encode_avoidance(host, pattern, mode="all-weak"):
@@ -258,17 +368,28 @@ def encode_avoidance(host, pattern, mode="all-weak"):
     the copy is coloured 2 (all-negative) and at least one is coloured 1
     (all-positive).
     """
-    copies = enumerate_pattern_copies(host, pattern, mode=mode)
-    return _avoidance_cnf(host.n, ((sign, image) for image in copies for sign in (-1, 1)))
+    return encode_copies(host.n, pattern_copies(host, pattern, mode=mode))
 
 
-def _avoidance_cnf(num_vars, signed_images):
-    """The CNF with one clause per (sign, image), in order: sign * (v + 1) for v in image.
+def encode_copies(num_vars, copies):
+    """The avoidance CNF of copies given as rows of host elements, copy by copy.
 
-    A negative clause forbids the copy all in colour 1, a positive one all in
-    colour 2.
+    Each copy gives its all-negative clause, then its all-positive one.
     """
-    return CnfFormula(num_vars, [tuple([sign * (v + 1) for v in image]) for sign, image in signed_images])
+    signs = np.tile(np.array([-1, 1], dtype=np.int32), len(copies))[:, None]
+    return _avoidance_cnf(num_vars, [(signs, np.repeat(copies, 2, axis=0))])
+
+
+def _avoidance_cnf(num_vars, blocks):
+    """The CNF with one clause per row of each (sign, images) block, in order.
+
+    A row gives sign * (v + 1) for its entries v, dropping the -1 padding;
+    sign is -1, 1 or a column of them, one per row. A negative clause forbids
+    the copy all in colour 1, a positive one all in colour 2.
+    """
+    lits = np.concatenate([(sign * (images + 1)).ravel() for sign, images in blocks])
+    lengths = np.concatenate([(images >= 0).sum(axis=1) for _, images in blocks])
+    return CnfFormula(num_vars, lits[lits != 0].astype(np.int32), np.concatenate(([0], np.cumsum(lengths))))
 
 
 @dataclass
@@ -309,13 +430,27 @@ def solve_cnf(cnf, time_budget=None):
     if time_budget is not None and not time_budget >= 0:
         raise PosetError("time budget must be a number >= 0, got %r" % (time_budget,))
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    nv = cnf.num_vars
-    clauses = []
-    for c in cnf.clauses:
-        lits = list(dict.fromkeys(c))
-        if lits and (0 in lits or min(lits) < -nv or max(lits) > nv):
-            raise PosetError("literal %d out of range" % next(l for l in lits if not 0 < abs(l) <= nv))
-        clauses.append(lits)
+    nv, lits, offsets = cnf.num_vars, cnf.lits, cnf.offsets
+    bad = (lits == 0) | (lits < -nv) | (lits > nv)
+    if bad.any():
+        raise PosetError("literal %d out of range" % lits[bad.argmax()])
+    # Only a clause whose variables fail to rise somewhere can name one twice.
+    # Such a clause keeps the first of each repeated literal, in place, and is
+    # skipped when it is a tautology.
+    var = np.abs(lits)
+    fall = np.flatnonzero(var[1:] <= var[:-1]) + 1
+    suspects = set((np.searchsorted(offsets, fall[~np.isin(fall, offsets)], side="right") - 1).tolist())
+    # Literals index one shared int object per value, not one object per occurrence.
+    flat = np.array(range(-nv, nv + 1), dtype=object)[lits + nv].tolist()
+    clauses = [flat[a:b] for a, b in itertools.pairwise(offsets.tolist())]
+    del var, fall, flat
+    tautologies = set()
+    for i in suspects:
+        c = clauses[i] = list(dict.fromkeys(clauses[i]))
+        if len(set(map(abs, c))) < len(c):
+            tautologies.add(i)
+    if tautologies:
+        clauses = [c for i, c in enumerate(clauses) if i not in tautologies]
     stats = dict(decisions=0, conflicts=0, propagations=0, restarts=0, learnt=0)
     learnts = []
     # Lists indexed by a signed literal l; a negative l wraps to the upper half.
@@ -374,8 +509,6 @@ def solve_cnf(cnf, time_budget=None):
         qhead = len(trail)
 
     for c in clauses:
-        if len(set(map(abs, c))) < len(c):
-            continue  # a tautology
         if len(c) > 1:
             watches[c[0]].append(c)
             watches[c[1]].append(c)
@@ -438,10 +571,10 @@ def solve_cnf(cnf, time_budget=None):
         trail_lim.append(len(trail))
         assign(v if phase[v] else -v, None)
 
+    truth = np.array(value[: nv + 1]) == 1
+    if not np.logical_or.reduceat(truth[np.abs(lits)] == (lits > 0), offsets[:-1]).all():
+        raise PosetError("internal error: solver produced a non-satisfying assignment")
     assignment = {v: value[v] == 1 for v in range(1, nv + 1)}
-    for c in clauses:
-        if not any(assignment[abs(l)] == (l > 0) for l in c):
-            raise PosetError("internal error: solver produced a non-satisfying assignment")
     return SatResult("sat", assignment, stats)
 
 

@@ -58,17 +58,27 @@ def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
             "expected sample size %.3g exceeds the budget %g" % (total * p, budget)
         )
     count = int(rng.binomial(total, p))
-    chosen = {}
-    while len(chosen) < count:
-        need = count - len(chosen)
+    # Each batch adds its first `need` distinct new words, in draw order.
+    words = np.empty(0, dtype=np.uint64)  # kept sorted
+    while len(words) < count:
+        need = count - len(words)
         batch = rng.integers(0, total, size=max(16, 2 * need), dtype=np.uint64)
-        for w in batch.tolist():
-            if w not in chosen:
-                chosen[w] = None
-                if len(chosen) == count:
-                    break
-    words = np.sort(np.fromiter(chosen.keys(), dtype=np.uint64, count=count))
+        batch = batch[~_among(batch, words)]
+        if not len(batch):
+            continue
+        fresh = np.sort(batch[:need])
+        if (fresh[1:] == fresh[:-1]).any():  # a repeat; rare when 2^n >> count
+            values, first = np.unique(batch, return_index=True)
+            fresh = np.sort(values[np.argsort(first)[:need]])
+        words = np.insert(words, np.searchsorted(words, fresh), fresh)
     return Sample(n=n, c=c, words=words, seed=seed)
+
+
+def _among(values, words):
+    """Which values occur in the sorted array words."""
+    if not len(words):
+        return np.zeros(len(values), dtype=bool)
+    return words[np.minimum(np.searchsorted(words, values), len(words) - 1)] == values
 
 
 def find_pattern(sample, pattern, induced=False):

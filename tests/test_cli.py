@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -388,6 +389,55 @@ def test_sat_encode_golden_text(capsys, argv, golden):
     code, out, _ = run(capsys, "sat-encode", *argv)
     assert code == 0
     assert out == golden
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_sat_outputs_are_pinned(tmp_path, capsys):
+    # Digests and solver counts recorded when the CNF was a list of clause tuples.
+    code, b5b3, _ = run(capsys, "sat-encode", "--host", "boolean:5", "--pattern", "boolean:3")
+    assert code == 0
+    assert sha256(b5b3) == "612ff87aeca90581aee383bb586734eb7d1aa6a19cb86ecfb30db43a4692f809"
+    code, out, _ = run(capsys, "sat-encode", "--host", "boolean:6", "--pattern", "layered:2,1,2")
+    assert code == 0
+    assert sha256(out) == "bf351a856613e0a5fb1a0ee6c0ddebaa02b30d921796ddd311700fc45330de41"
+    path = tmp_path / "b5b3.cnf"
+    path.write_text(b5b3, encoding="utf-8")
+    code, out, err = run(capsys, "sat-solve", "--dimacs", str(path), "--json", "--stats")
+    assert code == 0
+    assert sha256(out) == "f294d8a2351273ef13541a66801ab9f051417490c6ea42bca7a3e2f6cabff1cf"
+    assert json.loads(err)["solver"] == dict(decisions=16, conflicts=0, propagations=32, restarts=0, learnt=0)
+    code, out, err = run(capsys, "sat-solve", "--host", "boolean:6", "--pattern", "layered:2,1,2", "--stats")
+    assert code == 0 and out == "UNSAT\n"
+    assert json.loads(err)["solver"] == dict(decisions=79, conflicts=72, propagations=283, restarts=0, learnt=71)
+
+
+@pytest.mark.parametrize(
+    "argv,stages",
+    [
+        (["sat-encode", "--host", "boolean:3", "--pattern", "chain:3"], {"copies", "cnf", "dimacs_write"}),
+        (["sat-solve", "--host", "boolean:3", "--pattern", "chain:3", "--json"], {"copies", "cnf", "solve"}),
+        (["sat-solve", "--dimacs", "{cnf}"], {"dimacs_parse", "solve"}),
+    ],
+)
+def test_sat_stats_go_to_stderr_only(tmp_path, capsys, argv, stages):
+    path = tmp_path / "b3c3.cnf"
+    run(capsys, "sat-encode", "--host", "boolean:3", "--pattern", "chain:3", "--output", str(path))
+    argv = [arg.format(cnf=path) for arg in argv]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain
+    stats = json.loads(err)
+    assert stats["num_vars"] == 8 and stats["num_clauses"] == 36
+    assert set(stats["seconds"]) == stages and all(s >= 0 for s in stats["seconds"].values())
+    if argv[0] == "sat-solve":
+        assert set(stats["solver"]) == {"decisions", "conflicts", "propagations", "restarts", "learnt"}
+    else:
+        assert "solver" not in stats
 
 
 def test_sat_encode_beyond_the_copy_guard_is_a_capacity_error(tmp_path, capsys):

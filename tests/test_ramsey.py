@@ -61,7 +61,7 @@ def php_formula(pigeons, holes):
     for h in range(holes):
         for p, q in itertools.combinations(range(pigeons), 2):
             clauses.append((-var(p, h), -var(q, h)))
-    return CnfFormula(pigeons * holes, clauses)
+    return CnfFormula.from_clauses(pigeons * holes, clauses)
 
 
 def brute_sat(cnf):
@@ -154,6 +154,26 @@ def test_arrows_with_families_of_different_sizes():
     assert got == brute_arrows(host, [vee(), chain(2)], chain(3))
     if not got:
         assert verify_colouring(host, witness, [vee(), chain(2)], chain(3))[0]
+
+
+@pytest.mark.parametrize(
+    "host,first,second,witness",
+    [
+        (boolean_lattice(3), chain(3), chain(3), (1, 1, 1, 2, 1, 2, 2, 2)),
+        (double_diamond(), diamond(), diamond(), (1, 1, 1, 1, 2, 2)),
+        (boolean_lattice(3), [chain(3), diamond()], [vee(), wedge()], (2, 1, 1, 1, 1, 1, 1, 2)),
+        (
+            boolean_lattice(4),
+            [chain(3), boolean_lattice(2)],
+            chain(4),
+            (1, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2),
+        ),
+    ],
+)
+def test_arrows_witnesses_are_pinned(host, first, second, witness):
+    # The solver's colourings, as recorded when clauses were still tuples:
+    # clause order and solver set-up decide which colouring comes out.
+    assert arrows(host, first, second) == (False, witness)
 
 
 def test_arrows_symmetry_under_side_swap():
@@ -256,6 +276,23 @@ def test_enumeration_matches_brute_force():
             assert scanned == sorted({tuple(sorted(image)) for image in images})
 
 
+@pytest.mark.parametrize("held_rows", [1, 1 << 15])
+@pytest.mark.parametrize("induced", [False, True])
+def test_copy_images_of_a_mixed_family_in_tuple_order(monkeypatch, held_rows, induced):
+    # Rows of a 2- and a 3-element pattern (and V, whose image sets repeat
+    # chain:3's) share one array; the shorter rows end in -1 padding, and the
+    # order is that of the sorted image tuples. held_rows = 1 drops repeats
+    # after every block.
+    monkeypatch.setattr(ramsey, "_HELD_ROWS", held_rows)
+    host = boolean_lattice(3)
+    patterns = [chain(2), chain(3), vee()]
+    rows = ramsey._copy_images(np.arange(host.n), patterns, induced)
+    want = sorted({tuple(sorted(image)) for p in patterns for image in brute_images(host, p, induced)})
+    assert rows.dtype == np.int32 and rows.shape == (len(want), 3)
+    assert [tuple(v for v in row if v >= 0) for row in rows.tolist()] == want
+    assert all(row[2] == -1 for row, image in zip(rows.tolist(), want) if len(image) == 2)
+
+
 def test_verify_colouring_at_the_64_element_edge():
     # The top of B6 has down-set word 2^64 - 1, the last one the copy search takes.
     host = boolean_lattice(6)
@@ -333,6 +370,51 @@ def test_dimacs_roundtrip():
     assert solve_cnf(back).status == solve_cnf(cnf).status
 
 
+def dimacs_oracle(cnf):
+    """DIMACS text built line by line from the clause tuples: the reference
+    for CnfFormula.to_dimacs."""
+    lines = ["p cnf %d %d" % (cnf.num_vars, len(cnf.clauses))]
+    copy = None
+    for clause in cnf.clauses:
+        key = tuple(map(abs, clause))
+        if key != copy:
+            lines.append("c copy " + ",".join([str(v - 1) for v in key]))
+            copy = key
+        lines.append(" ".join([str(l) for l in clause]) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 1 << 12])
+def test_dimacs_text_matches_the_line_by_line_oracle(monkeypatch, piece):
+    # piece is the clauses per piece of text written and the literals per
+    # piece read; small ones cut runs of a copy and clauses.
+    monkeypatch.setattr(ramsey, "_DIMACS_CLAUSES", piece)
+    monkeypatch.setattr(ramsey, "_DIMACS_TOKENS", piece)
+    cnfs = [
+        encode_avoidance(boolean_lattice(3), chain(3)),
+        encode_avoidance(boolean_lattice(3), boolean_lattice(1), mode="subcube"),
+        php_formula(4, 3),
+        CnfFormula.from_clauses(3, [(), (), (1, -2), (-1, 2), (2, 1), (3,), (-3,), (), (1, 1, -1)]),
+        CnfFormula.from_clauses(2, []),
+    ]
+    for cnf in cnfs:
+        text = cnf.to_dimacs()
+        assert text == dimacs_oracle(cnf)
+        back = parse_dimacs(text)
+        assert back.num_vars == cnf.num_vars and back.clauses == cnf.clauses
+
+
+def test_clause_store_is_flat():
+    cnf = CnfFormula.from_clauses(3, [(1, -2), (), (3, 1, 2)])
+    assert cnf.lits.dtype == np.int32 and cnf.lits.tolist() == [1, -2, 3, 1, 2]
+    assert cnf.offsets.dtype == np.int64 and cnf.offsets.tolist() == [0, 2, 2, 5]
+    assert cnf.num_clauses == 3 and cnf.clauses == [(1, -2), (), (3, 1, 2)]
+    with pytest.raises(PosetError, match="out of range"):
+        CnfFormula.from_clauses(1, [(1 << 40,)])
+    with pytest.raises(PosetError, match="out of range"):
+        parse_dimacs("p cnf 1 1\n-9999999999 0\n")
+
+
 def test_parse_dimacs_rejects_bad_header():
     with pytest.raises(PosetError):
         parse_dimacs("p dnf 2 1\n1 0\n")
@@ -356,14 +438,18 @@ def test_parse_dimacs_rejects_non_integer_tokens():
 
 
 def test_solver_basic_outcomes():
-    assert solve_cnf(CnfFormula(1, [(1,), (-1,)])).status == "unsat"
-    res = solve_cnf(CnfFormula(2, [(1, 2), (-1,)]))
+    assert solve_cnf(CnfFormula.from_clauses(1, [(1,), (-1,)])).status == "unsat"
+    res = solve_cnf(CnfFormula.from_clauses(2, [(1, 2), (-1,)]))
     assert res.status == "sat"
     assert res.assignment[1] is False and res.assignment[2] is True
-    assert solve_cnf(CnfFormula(1, [])).status == "sat"
-    assert solve_cnf(CnfFormula(2, [(1, -1), (2,)])).status == "sat"
+    assert solve_cnf(CnfFormula.from_clauses(1, [])).status == "sat"
+    assert solve_cnf(CnfFormula.from_clauses(2, [(1, -1), (2,)])).status == "sat"
     with pytest.raises(PosetError):
-        solve_cnf(CnfFormula(1, [(2,)]))
+        solve_cnf(CnfFormula.from_clauses(1, [(2,)]))
+    # (2, 1, 2) is the clause (2, 1), (-1, -1) the unit -1; the tautology sets nothing.
+    res = solve_cnf(CnfFormula.from_clauses(3, [(2, 1, 2), (-1, -1), (3, -3, 1)]))
+    assert res.status == "sat" and res.assignment == {1: False, 2: True, 3: True}
+    assert res.stats["decisions"] == 1 and res.stats["propagations"] == 3
 
 
 def test_solver_pigeonhole():
@@ -378,8 +464,8 @@ def test_solver_time_budget_reports_unknown():
 
 def test_solver_zero_time_budget_leaves_only_propagation():
     assert solve_cnf(php_formula(7, 6), time_budget=0).status == "unknown"
-    assert solve_cnf(CnfFormula(2, [(1,), (-1, 2)]), time_budget=0).status == "sat"
-    assert solve_cnf(CnfFormula(2, [(1,), (-1, 2), (-2,)]), time_budget=0).status == "unsat"
+    assert solve_cnf(CnfFormula.from_clauses(2, [(1,), (-1, 2)]), time_budget=0).status == "sat"
+    assert solve_cnf(CnfFormula.from_clauses(2, [(1,), (-1, 2), (-2,)]), time_budget=0).status == "unsat"
 
 
 @pytest.mark.parametrize("case", ["php(4,3)", "B6/C(2,1,2)"])
@@ -419,13 +505,13 @@ def small_cnfs(draw):
     sometimes the empty clause, in shuffled order."""
     n = draw(st.integers(0, 10))
     if n == 0:
-        return CnfFormula(0, draw(st.lists(st.just(()), max_size=1)))
+        return CnfFormula.from_clauses(0, draw(st.lists(st.just(()), max_size=1)))
     literal = st.sampled_from([l for l in range(-n, n + 1) if l])
     clauses = draw(st.lists(st.tuples(literal, literal, literal), min_size=3 * n, max_size=5 * n))
     clauses += draw(st.lists(st.lists(literal, min_size=1, max_size=5).map(tuple), max_size=6))
     if draw(st.integers(0, 9)) == 0:
         clauses.append(())
-    return CnfFormula(n, draw(st.permutations(clauses)))
+    return CnfFormula.from_clauses(n, draw(st.permutations(clauses)))
 
 
 @settings(max_examples=300, deadline=None)

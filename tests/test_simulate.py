@@ -95,6 +95,38 @@ def test_sample_guards():
             sample_pnp(16, 0.0, budget=budget)
 
 
+def dict_loop_words(n, c, rng):
+    """The distinct-word draw as a dict loop over each batch, word by word:
+    the reference the vectorised draw of sample_pnp must match."""
+    total = 1 << n
+    count = int(rng.binomial(total, math.exp(-c * n)))
+    chosen = {}
+    while len(chosen) < count:
+        need = count - len(chosen)
+        batch = rng.integers(0, total, size=max(16, 2 * need), dtype=np.uint64)
+        for w in batch.tolist():
+            if w not in chosen:
+                chosen[w] = None
+                if len(chosen) == count:
+                    break
+    return np.sort(np.fromiter(chosen.keys(), dtype=np.uint64, count=count))
+
+
+def test_sample_draws_the_words_of_the_dict_loop():
+    # Small n with c near 0 keeps most words, so batches collide often.
+    for n in range(15):
+        for c in (0.0, 0.01, 0.1, 0.5):
+            for seed in range(30):
+                want = dict_loop_words(n, c, np.random.default_rng(seed))
+                got = sample_pnp(n, c, rng=np.random.default_rng(seed)).words
+                assert got.dtype == np.uint64 and np.array_equal(got, want), (n, c, seed)
+    # The streams of a sweep at n = 40 (seed 1, as in `simulate --seed 1`).
+    for cell, c in enumerate((0.49, 0.54, 0.59)):
+        for trial in range(20):
+            stream = lambda: np.random.default_rng(np.random.SeedSequence(1, spawn_key=(cell, trial)))
+            assert np.array_equal(sample_pnp(40, c, rng=stream()).words, dict_loop_words(40, c, stream()))
+
+
 def test_sample_inclusion_probability():
     n, c, runs = 6, 0.2, 3000
     probe = 5
