@@ -168,9 +168,7 @@ def _cmd_classify(args):
 
 def _cmd_count(args):
     pattern = _poset(args.poset)
-    total = correspondence.count_copies(
-        pattern, args.n, mode=args.mode, method=args.method, cap=args.cap
-    )
+    total = correspondence.count_copies(pattern, args.n, mode=args.mode)
     _emit(
         args,
         {"poset": args.poset, "n": args.n, "mode": args.mode, "count": int(total)},
@@ -212,7 +210,12 @@ def _cmd_table1(args):
         raise UsageError("--value-tol must be a number >= 0, got %r" % (args.value_tol,))
     wanted = None
     if args.rows:
-        wanted = {r.strip().lower() for r in args.rows.split(",")}
+        names = [r.strip() for r in args.rows.split(",")]
+        wanted = {r.lower() for r in names}
+        known = {row[0].lower() for row in _TABLE1}
+        unknown = [r for r in names if r.lower() not in known]
+        if unknown:
+            raise UsageError("unknown table1 rows: %s" % ", ".join(map(repr, unknown)))
     records = []
     stats = []
     lines = [
@@ -456,8 +459,6 @@ def _build_parser():
     p.add_argument("poset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["weak", "injective", "induced"], default="weak")
-    p.add_argument("--method", choices=["grouped", "scan", "backtrack"], default="grouped")
-    p.add_argument("--cap", type=int, default=10 ** 8)
 
     p = add("table1", _cmd_table1, "recompute the built-in results table")
     p.add_argument("--rows", default=None, help="comma list of row names to include")

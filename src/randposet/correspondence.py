@@ -4,7 +4,8 @@ An order-preserving map of a pattern poset into the subset lattice of
 {1..n} is the same data as an ordered partition of the ground set indexed by
 the pattern's antichains. This module implements both directions of that
 correspondence, the upper-shadow maps it induces on antichains, partitions
-and weightings, and exact copy counting by three independent methods. The
+and weightings, and the exact count of copies (count_copies): a sum of
+surjection counts over the sets of at most n nonempty parts. The
 shadow maps into every subposet at once come from the parent antichain
 family alone (shadow_indices), with no per-subposet enumeration.
 
@@ -15,6 +16,7 @@ vectors on the same index set.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -300,6 +302,11 @@ def shadow_partition(family, q_mask, partition):
 
 _MODES = ("weak", "injective", "induced")
 
+# The most sets of nonempty parts count_copies visits. A pattern with m
+# antichains needs at most 2^m, so every pattern with m <= 26 is counted at
+# any n.
+_MAX_PART_SETS = 1 << 26
+
 
 def surjection_count(n, k):
     """Number of surjections from an n-set onto a k-set."""
@@ -316,163 +323,56 @@ def starred_count(m, n):
     return surjection_count(n, m)
 
 
-def count_copies(pattern, n, mode="injective", method="grouped", cap=10 ** 8, family=None):
+def count_copies(pattern, n, mode="injective"):
     """Count order-preserving maps of a pattern into subsets of {1..n}.
 
     Modes: "weak" counts all order-preserving maps, "injective" those with
     pairwise distinct images, "induced" those that also reflect
-    incomparability. Methods "grouped", "scan" and "backtrack" are
-    independent computations that must agree; "grouped" classifies
-    empty-part patterns once and multiplies by surjection counts, "scan"
-    enumerates every partition, "backtrack" embeds directly.
+    incomparability. Weak maps are in bijection with partitions, so there
+    are m^n of them for m antichains. Otherwise the count runs over the sets
+    of nonempty parts: whether a partition gives a valid copy depends only
+    on which parts are nonempty, and a set of k parts is the support of
+    surjection_count(n, k) partitions, none when k > n. CapacityError is
+    raised up front when there are more than 2^26 sets of at most n parts.
     """
     if mode not in _MODES:
         raise PosetError("mode must be one of %s" % (_MODES,))
     if n < 0:
         raise PosetError("ground set size must be >= 0, got %d" % n)
-    if family is None:
-        family = antichains(pattern)
+    family = antichains(pattern)
     m = len(family)
-    if method == "grouped":
-        return _count_grouped(pattern, family, n, mode)
-    if method == "scan":
-        if m ** n > cap:
-            raise CapacityError("partition scan of size %d^%d exceeds cap" % (m, n))
-        total = 0
-        for _, keep in _scan_partitions(pattern, family, n, mode):
-            total += int(keep.sum())
-        return total
-    if method == "backtrack":
-        return _count_backtrack(pattern, n, mode)
-    raise PosetError("unknown method %r" % method)
-
-
-def _count_grouped(pattern, family, n, mode):
-    """Copy count via empty-part pattern classification."""
-    m = len(family)
-    if m > 26:
-        raise CapacityError("grouped count over 2^%d nonempty patterns is too large" % m)
+    if mode == "weak":
+        return m ** n
+    top = min(n, m)
+    part_sets = sum(math.comb(m, k) for k in range(top + 1))
+    if part_sets > _MAX_PART_SETS:
+        raise CapacityError(
+            "copy count over %d sets of nonempty parts exceeds 2^26" % part_sets
+        )
     sel = _down_meeting_indices(family)
-    pairs = []
-    for i in range(pattern.n):
-        for k in range(i + 1, pattern.n):
-            pairs.append((i, k, pattern.comparable(i, k)))
-    per_size = [0] * (m + 1)
-    for t in range(1 << m):
-        ok = True
-        if mode != "weak":
-            for i, k, comp in pairs:
-                xi = sel[i] & t
-                xk = sel[k] & t
-                if xi == xk:
-                    ok = False
-                    break
-                if mode == "induced" and not comp and (xi & ~xk == 0 or xk & ~xi == 0):
-                    ok = False
-                    break
-        if ok:
-            per_size[t.bit_count()] += 1
+    pairs = [
+        (sel[i], sel[k], pattern.comparable(i, k))
+        for i in range(pattern.n)
+        for k in range(i + 1, pattern.n)
+    ]
+    induced = mode == "induced"
     total = 0
-    for size, ways in enumerate(per_size):
-        if ways:
-            total += ways * surjection_count(n, size)
+    for k in range(top + 1):
+        ways = 0
+        for parts in itertools.combinations(range(m), k):
+            t = sum(1 << j for j in parts)
+            for si, sk, comp in pairs:
+                xi = si & t
+                xk = sk & t
+                if xi == xk or (induced and not comp and (xi & ~xk == 0 or xk & ~xi == 0)):
+                    break
+            else:
+                ways += 1
+        total += ways * surjection_count(n, k)
     return total
 
 
-def _scan_partitions(pattern, family, n, mode, chunk=1 << 16):
-    """Yield (image-set matrix, keep mask) over all partitions, chunked.
-
-    Enumerates [m]^[n] as base-m digit strings; each row of the image matrix
-    holds the map's images as bitmasks; ``keep`` flags rows passing the mode
-    filter.
-    """
-    m = len(family)
-    sel = _down_meeting_indices(family)
-    sel_lists = [list(_bits(s)) for s in sel]
-    total = m ** n
-    pow2 = (1 << np.arange(n, dtype=np.int64)) if n else np.zeros(0, dtype=np.int64)
-    powm = [m ** e for e in range(n + 1)]
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, n), dtype=np.int64)
-        for pos in range(n):
-            digits[:, pos] = (idx // powm[pos]) % m
-        part_masks = np.zeros((stop - start, m), dtype=np.int64)
-        for j in range(m):
-            part_masks[:, j] = (digits == j) @ pow2
-        images = np.zeros((stop - start, pattern.n), dtype=np.int64)
-        for i in range(pattern.n):
-            if sel_lists[i]:
-                images[:, i] = part_masks[:, sel_lists[i]].sum(axis=1)
-        keep = np.ones(stop - start, dtype=bool)
-        if mode != "weak":
-            for i in range(pattern.n):
-                for k in range(i + 1, pattern.n):
-                    xi = images[:, i]
-                    xk = images[:, k]
-                    keep &= xi != xk
-                    if mode == "induced" and not pattern.comparable(i, k):
-                        keep &= (xi & ~xk) != 0
-                        keep &= (xk & ~xi) != 0
-        yield images, keep
-        start = stop
-
-
-def _count_backtrack(pattern, n, mode):
-    """Copy count by direct embedding search over subset images."""
-    order = sorted(range(pattern.n), key=lambda i: pattern.below[i].bit_count())
-    full = (1 << n) - 1
-    images = {}
-
-    def rec(k):
-        if k == len(order):
-            return 1
-        i = order[k]
-        lower = 0
-        for j in images:
-            if pattern.lt(j, i):
-                lower |= images[j]
-        free = full & ~lower
-        total = 0
-        sub = free
-        while True:
-            x = lower | sub
-            ok = True
-            if mode != "weak":
-                for j, xj in images.items():
-                    if x == xj:
-                        ok = False
-                        break
-                    if mode == "induced" and not pattern.comparable(i, j):
-                        if x & ~xj == 0 or xj & ~x == 0:
-                            ok = False
-                            break
-            if ok:
-                images[i] = x
-                total += rec(k + 1)
-                del images[i]
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        return total
-
-    return rec(0)
-
-
 # -- weighted partition counting ---------------------------------------------
-
-
-def nearest_composition(alpha, n):
-    """Round a weighting to an integer composition of n, largest remainder."""
-    alpha = np.asarray(alpha, dtype=float)
-    base = np.floor(alpha * n).astype(int)
-    short = n - int(base.sum())
-    remainders = alpha * n - base
-    for j in sorted(range(len(alpha)), key=lambda t: (-remainders[t], t))[:short]:
-        base[j] += 1
-    return tuple(int(v) for v in base)
 
 
 def count_weighted_partitions(alpha, n, eps):

@@ -118,11 +118,11 @@ def test_criterion_02():
                 for _ in range(10**5):
                     assign = [rng.randrange(m) for _ in range(n)]
                     assert _roundtrips(family, n, assign)
-            # (b) injective counts match backtracking and sit in their bracket
-            grouped = count_copies(poset, n, mode="injective", method="grouped")
-            direct = count_copies(poset, n, mode="injective", method="backtrack")
-            assert grouped == direct
-            assert starred_count(m, n) <= grouped <= m**n
+            # (b) injective counts match the copy search and sit in their bracket
+            counted = count_copies(poset, n, mode="injective")
+            searched = sum(len(b) for b in copy_blocks(np.arange(1 << n), poset))
+            assert counted == searched
+            assert starred_count(m, n) <= counted <= m**n
 
     # (c) taking a shadow commutes with restricting the copy
     for k in range(500):
@@ -286,11 +286,11 @@ def test_criterion_08():
     for d in (3, 4):
         host = boolean_lattice(d)
         copies = enumerate_pattern_copies(host, pattern, mode="all-weak")
-        # Distinct weak copy maps, as many as the subset-image backtracking
-        # count, are all of them; their image sets are the enumerated copies.
+        # The copy search's maps are distinct and as many as the partition
+        # count; their image sets are the enumerated copies.
         rows = np.concatenate(list(copy_blocks(np.arange(1 << d), pattern)))
         assert len(np.unique(rows, axis=0)) == len(rows)
-        assert len(rows) == count_copies(pattern, d, "injective", method="backtrack")
+        assert len(rows) == count_copies(pattern, d, "injective")
         for i, j in itertools.permutations(range(pattern.n), 2):
             assert np.all(rows[:, i] != rows[:, j])
             if pattern.lt(i, j):

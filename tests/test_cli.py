@@ -198,9 +198,15 @@ def test_count_matches_library(capsys):
     assert json.loads(out)["count"] == 5 ** 3
 
 
-@pytest.mark.parametrize("method", ["grouped", "scan", "backtrack"])
-def test_count_rejects_negative_ground_set(capsys, method):
-    code, out, err = run(capsys, "count", "chain:2", "--n", "-1", "--method", method)
+def test_count_rejects_negative_ground_set(capsys):
+    code, out, err = run(capsys, "count", "chain:2", "--n", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_has_no_method_option(capsys):
+    code, out, err = run(capsys, "count", "chain:2", "--n", "3", "--method", "scan")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -218,6 +224,21 @@ def test_table1_selected_rows(capsys):
     assert by_name["DD"]["flags"] == []
     assert by_name["V"]["flags"] == []
     assert by_name["DD"]["computed"]["value"] == pytest.approx(0.38166486, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "rows, named", [("V,nope", "'nope'"), ("nope", "'nope'"), ("V,,C(2)", "''")]
+)
+def test_table1_unknown_row_is_a_usage_error(capsys, monkeypatch, rows, named):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(threshold, "c_star", no_rows)
+    code, out, err = run(capsys, "table1", "--rows", rows)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(named)
 
 
 def test_table1_known_open_row_is_flagged_but_passes(capsys):

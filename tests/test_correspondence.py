@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from randposet.correspondence import (
     copy_of_partition,
     count_copies,
     count_weighted_partitions,
-    nearest_composition,
     partition_of_copy,
     shadow_antichain,
     shadow_indices,
@@ -26,6 +26,7 @@ from randposet.correspondence import (
     surjection_count,
 )
 from randposet.posets import (
+    CapacityError,
     Poset,
     PosetError,
     antichains,
@@ -324,12 +325,29 @@ def test_injective_chain_counts():
 
 
 def test_counting_methods_agree():
-    for poset, n in ((vee(), 3), (chain(3), 3), (boolean_lattice(2), 4)):
-        for mode in ("weak", "injective", "induced"):
-            grouped = count_copies(poset, n, mode=mode, method="grouped")
-            scan = count_copies(poset, n, mode=mode, method="scan")
-            back = count_copies(poset, n, mode=mode, method="backtrack")
-            assert grouped == scan == back
+    # The count against the copy search over all of B_n, and weak maps
+    # against the m^n partitions they correspond to.
+    cases = [(vee(), 3), (chain(3), 3), (boolean_lattice(2), 4), (catalog("t2"), 3),
+             (catalog("antichain:5"), 3), (catalog("y''"), 4), (boolean_lattice(3), 4)]
+    for poset, n in cases:
+        words = np.arange(1 << n)
+        for mode in ("injective", "induced"):
+            rows = sum(len(b) for b in copy_blocks(words, poset, mode == "induced"))
+            assert count_copies(poset, n, mode=mode) == rows
+        assert count_copies(poset, n, mode="weak") == len(antichains(poset)) ** n
+    assert count_copies(catalog("t2"), 3) == 48
+    assert count_copies(catalog("antichain:5"), 3) == 6720
+    assert count_copies(catalog("antichain:5"), 3, mode="weak") == 32 ** 3
+    assert count_copies(catalog("y''"), 4) == 2736
+    assert count_copies(boolean_lattice(3), 4) == 1092
+
+
+def test_count_beyond_the_part_set_cap_is_refused_at_once():
+    # y'' has 65 antichains: 2.2e11 sets of at most 10 nonempty parts.
+    t0 = time.monotonic()
+    with pytest.raises(CapacityError):
+        count_copies(catalog("y''"), 10)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_injective_count_bounds():
@@ -372,7 +390,7 @@ def test_copy_blocks_match_brute_force(case, induced):
     d = max(host.n.bit_length() - 1, 0)
     if host == boolean_lattice(d):
         mode = "induced" if induced else "injective"
-        assert len(rows) == count_copies(pattern, d, mode, method="backtrack")
+        assert len(rows) == count_copies(pattern, d, mode)
     for row in rows:
         images = [int(words[v]) for v in row]
         assert len(set(images)) == pattern.n
@@ -423,11 +441,3 @@ def test_count_weighted_partitions_epsilon_window():
     exact1, _ = count_weighted_partitions((0.5, 0.5), 4, 0.25)
     assert exact0 == 6
     assert exact1 == 6 + 2 * 4
-
-
-def test_nearest_composition_rounds_to_total():
-    comp = nearest_composition((0.3, 0.3, 0.4), 10)
-    assert sum(comp) == 10
-    assert list(comp) == [3, 3, 4]
-    comp = nearest_composition((1 / 3, 1 / 3, 1 / 3), 10)
-    assert sum(comp) == 10
