@@ -10,7 +10,7 @@ import pytest
 
 import randposet
 from randposet import threshold
-from randposet.cli import main
+from randposet.cli import _TABLE1, main
 from randposet.correspondence import count_copies
 from randposet.posets import catalog, vee
 from randposet.ramsey import parse_dimacs
@@ -135,10 +135,15 @@ def test_cstar_stats_go_to_stderr_only(capsys, extra):
     assert out == plain
     stats = json.loads(err)
     assert stats["full_evaluations"] >= len(stats["polls"]) >= 1
-    assert set(stats["polls"][0]) == {
-        "full_evaluations", "working_set", "misses", "lp_pivots", "lp_gap", "bracket_width"
+    poll = stats["polls"][0]
+    assert set(poll) == {
+        "full_evaluations", "working_set", "misses", "polish", "lp_pivots", "lp_gap", "seconds",
+        "bracket_width",
     }
-    assert stats["polls"][0]["lp_pivots"] >= 1 and abs(stats["polls"][0]["lp_gap"]) <= 1e-12
+    assert poll["lp_pivots"] >= 1 and abs(poll["lp_gap"]) <= 1e-12
+    assert poll["polish"] in {"improved", "no gain", "failed"}
+    assert set(poll["seconds"]) == {"ascent", "polish", "lp"}
+    assert all(s >= 0 for s in poll["seconds"].values())
 
 
 def test_table1_stats_name_each_row(capsys):
@@ -150,6 +155,40 @@ def test_table1_stats_name_each_row(capsys):
     assert [r["name"] for r in rows] == ["C(2)", "V"]
     # C(2) is certified at the uniform start without an ascent.
     assert rows[0]["stats"]["polls"] == [] and len(rows[1]["stats"]["polls"]) == 1
+
+
+# sha256 of the text stdout of `table1` and of `cstar <spelling>` for each
+# table1 row, so the byte-identical stdout rule is checked, not eyeballed.
+CSTAR_STDOUT_SHA256 = {
+    "table1": "e076a1942c744c30d4b95a0745e894582e8500b2307c2cbffa553d0210b28ecf",
+    "chain:2": "8c6087361d426d49fbcd61cf2485b837d60e56807e3609d8c5f21511b0aa1871",
+    "v": "85e92eb2281a4a0dcf987512f629f8ffdb5bbcc23d8fc9e479fb71edce5ea1b1",
+    "layered:2,2": "3a4fa833b80d9d6acc6c59c78302c357507e64156ceeed91487a04ba46ae103c",
+    "chain:3": "6e27433ab61e3e54de78ce9c81844a8174d637d73f20d0888402ce13fa9d33b3",
+    "lambda'": "443dbc569383186c5400cd066e976130408a83daed591e813aeb862801eac8ab",
+    "diamond": "eeabc90700c579c7ea82bb952d59dc7c98182d8cfa387cb7d5e7d5e093a51ac0",
+    "y": "14664bc0a514c47c1b9c4ffa3f812348e7a7d74fc22411d49401dd7f2e2d0611",
+    "y'": "dbc2571b9624041e08506274cc8508a8e70e67dafe5bb22e249ce95fd4bbfc6c",
+    "t2": "b09050093ccbc49e0e9fb0390ee6a6bb96bdefde4609faedd4323e2bfb66ee30",
+    "fish": "07fc4c47b334849a9632eb510a007c7192f561c4ec095cbf3bddccaecf8c1eda",
+    "layered:2,1,2": "a2d71a9f6522a05b16dfc190e77c97b628df5e9b0b9224fc73a6e466e3e0b393",
+    "layered:1,2,2": "26ce99debf9b53009c8f67ff36d3c2603a1c341ef28ba58442381bac2852a1c0",
+    "chain:4": "d87c1c5c832ccc5f3b50cbb3e621111a4b35312fd41dadfb04e4f0fefb5e195c",
+    "layered:1,1,2,1": "b71c1d1b87b6583c60baa2af95611017fdb25316a4b8871469186b6a49d40ed4",
+    "layered:1,1,1,2": "249af6a2fb0ad8ddf17de35b2218d7912d9bb9d8fcdf32e3b0bf57c8eab4e60c",
+    "y''": "a35ff12063af8b5eb58b27aadb7036f59ebd4b1c9b93847a1e91839890439f48",
+    "dd": "4e2d23f19cb237279887d5bd3977c7171a9ac0f6a1b445082f7de72d3df2b0b6",
+    "layered:2,3,2": "c0fac4101790e66cc728920411f3e86a6d032f202b63bfd6626984116e70f2ce",
+    "boolean:3": "0851424fbf5510733dc9a22beae564d01be9d8cc99edb76705fb5af4fb1f8433",
+    "layered:1,2,1,2,1": "65b9bfba28f706d9a2fca7254b168661f329e46d4b2a7003db17ba693aab4486",
+}
+
+
+@pytest.mark.parametrize("argv", [["table1"]] + [["cstar", row[1]] for row in _TABLE1], ids=" ".join)
+def test_cstar_text_stdout_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CSTAR_STDOUT_SHA256[argv[-1]]
 
 
 SCIPY_BLOCKED = """

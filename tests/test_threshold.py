@@ -27,6 +27,7 @@ from randposet.posets import (
     wedge,
 )
 from randposet import threshold
+from randposet.cli import _TABLE1
 from randposet.threshold import (
     ExponentTable,
     antichain_symmetry_group,
@@ -161,7 +162,42 @@ def test_lift_bound_is_a_lower_bound(seed, n):
 
 def test_root_search_without_a_sign_change_is_an_error():
     with pytest.raises(PosetError, match="not bracketed"):
-        threshold._brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+        threshold._bisect(lambda x: x * x + 1.0, 0.0, 1.0)
+
+
+def test_root_search_that_meets_a_nan_is_an_error():
+    with pytest.raises(PosetError, match="met a NaN"):
+        threshold._bisect(lambda x: math.nan if x > 0.25 else x - 0.5, 0.0, 1.0)
+
+
+def _balance_difference(p):
+    family = antichains(p)
+    a, n = len(family), p.n
+
+    def diff(x):
+        w = 1.0 - 2.0 * x
+        chain_side = (-2.0 * (x * math.log(x)) - w * math.log(w)) / 2.0
+        return chain_side - (-2.0 * (x * math.log(x)) - w * math.log(w / (a - 2.0))) / n
+
+    return diff, balanced_solve(p, family).x_star
+
+
+def _root_cases():
+    log2 = math.log(2.0)
+    star = lambda x: (1.0 - x) * log2 - binary_entropy(x)
+    yield pytest.param(star, star_threshold()[0], id="star")
+    wide = lambda x: 2.0 * (1.0 - 2.0 * x) * log2 - 2.0 * x * log2 - binary_entropy(2.0 * x)
+    yield pytest.param(wide, wide_diamond_threshold()[0], id="wide diamond")
+    for spec in ("diamond", "dd", "boolean:3", "layered:1,2,1,2,1"):
+        yield pytest.param(*_balance_difference(catalog(spec)), id=spec)
+
+
+@pytest.mark.parametrize("f, root", list(_root_cases()))
+def test_root_search_lands_on_a_sign_change(f, root):
+    # Bisection stops at two adjacent floats around the root.
+    fx = f(root)
+    signs = {math.copysign(1.0, f(math.nextafter(root, side))) for side in (-math.inf, math.inf)}
+    assert fx == 0.0 or -math.copysign(1.0, fx) in signs
 
 
 # -- the optimizer --------------------------------------------------------------
@@ -222,7 +258,22 @@ def test_cstar_below_generic_upper_bounds():
         rep = c_star(p)
         assert rep.value <= trivial_upper_bound(p) + 1e-9
         if p.is_bounded() and p.n >= 2:
-            assert rep.value <= bounded_upper_bound(p) + 1e-6
+            assert rep.lower_bound <= bounded_upper_bound(p) + 1e-12
+
+
+def _random_bounded_poset(rng):
+    n = rng.randint(4, 8)
+    relations = [(0, j) for j in range(1, n)] + [(i, n - 1) for i in range(1, n - 1)]
+    relations += [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1) if rng.random() < 0.3]
+    return Poset(n, relations)
+
+
+def test_bounded_upper_bound_is_above_the_certified_lower_bound():
+    rng = random.Random(7)
+    posets = [_random_bounded_poset(rng) for _ in range(40)]
+    posets += [p for p in (catalog(row[1]) for row in _TABLE1) if p.is_bounded() and p.n >= 2]
+    for p in posets:
+        assert bounded_upper_bound(p) >= c_star(p, tol=1e-9).lower_bound
 
 
 def test_cstar_blowup_three_layers_of_four():
@@ -470,6 +521,17 @@ def test_bracket_is_certified_after_the_starts_and_each_poll(monkeypatch):
     assert polls >= 1
     assert calls.count("_kkt_polish") == polls
     assert calls.count("_dual_upper_bound") == polls + 1
+
+
+def test_poll_records_time_the_stages_and_name_the_polish_outcome(monkeypatch):
+    rep = c_star(catalog("y''"))
+    assert [rec["polish"] for rec in rep.stats["polls"]] == ["improved"]
+    monkeypatch.setattr(threshold, "_kkt_polish", lambda *a: None)
+    rep = c_star(catalog("y''"), max_iter=400)
+    assert [rec["polish"] for rec in rep.stats["polls"]] == ["failed", "failed"]
+    for rec in rep.stats["polls"]:
+        assert set(rec["seconds"]) == {"ascent", "polish", "lp"}
+        assert rec["seconds"]["ascent"] > 0 and min(rec["seconds"].values()) >= 0
 
 
 def test_start_within_roundoff_skips_the_last_polish(monkeypatch):
