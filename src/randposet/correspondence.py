@@ -142,16 +142,14 @@ class CopyMap:
 
 
 def _down_meeting_indices(family):
-    """For each pattern element, the antichain indices meeting its down-set."""
-    poset = family.poset
-    out = []
-    for i in range(poset.n):
-        dmask = poset.down_mask(i)
-        sel = 0
-        for j, s in enumerate(family.masks):
-            if s & dmask:
-                sel |= 1 << j
-        out.append(sel)
+    """For each pattern element, the antichain indices meeting its down-set.
+
+    An antichain meets the down-set of i exactly when i lies in its up-set.
+    """
+    out = [0] * family.poset.n
+    for j, up in enumerate(family.upsets):
+        for i in _bits(up):
+            out[i] |= 1 << j
     return out
 
 
@@ -166,9 +164,9 @@ def copy_of_partition(family, partition):
         raise PosetError("partition is indexed by a different antichain family")
     poset = family.poset
     images = [0] * poset.n
-    for s, part in zip(family.masks, partition.parts):
+    for up, part in zip(family.upsets, partition.parts):
         if part:
-            for i in _bits(poset.upset_of(s)):
+            for i in _bits(up):
                 images[i] |= part
     return CopyMap(poset, partition.n, images)
 
@@ -185,8 +183,7 @@ def partition_of_copy(family, copy):
     if copy.poset != poset:
         raise PosetError("copy map belongs to a different poset")
     parts = []
-    for s in family.masks:
-        up = poset.upset_of(s)
+    for up in family.upsets:
         part = (1 << copy.n) - 1
         for i, image in enumerate(copy.images):
             part &= image if up >> i & 1 else ~image

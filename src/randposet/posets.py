@@ -222,12 +222,20 @@ class AntichainFamily:
     Weightings over antichains index into this order throughout the package.
     """
 
-    __slots__ = ("poset", "masks", "index")
+    __slots__ = ("poset", "masks", "index", "_upsets")
 
     def __init__(self, poset, masks):
         self.poset = poset
         self.masks = tuple(masks)
         self.index = {m: k for k, m in enumerate(self.masks)}
+        self._upsets = None
+
+    @property
+    def upsets(self):
+        """The up-set mask of each antichain, in family order; computed on first use."""
+        if self._upsets is None:
+            self._upsets = tuple(self.poset.upset_of(s) for s in self.masks)
+        return self._upsets
 
     def __len__(self):
         return len(self.masks)

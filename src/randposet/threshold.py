@@ -36,6 +36,8 @@ WS_MARGIN = 0.05
 # The KKT polish and the LP bound count a subposet as active within this
 # margin of the minimum.
 ACTIVE_TOL = 1e-3
+# classify counts a subposet as below a weighting's target beyond this margin.
+CLASSIFY_TOL = 1e-9
 
 
 def _xlogy(x, y):
@@ -65,8 +67,15 @@ def entropy(alpha):
 
 
 def binary_entropy(x):
-    """Entropy of a two-point distribution (x, 1-x), computed in scalars."""
-    x, y = _weights([x, 1.0 - x]).tolist()
+    """Entropy of a two-point distribution (x, 1-x), computed in scalars.
+
+    Coordinates in [-1e-12, 0) count as 0, as in ``_weights``.
+    """
+    x = float(x)
+    y = 1.0 - x
+    if x < -1e-12 or y < -1e-12:
+        raise PosetError("weighting has a negative coordinate")
+    x, y = max(x, 0.0), max(y, 0.0)
     return 0.0 - (_xlogy(x, x) + _xlogy(y, y))
 
 
@@ -115,12 +124,12 @@ class ExponentTable:
 
     Row qi of the 2-D array ``index`` sends each parent antichain to its
     shadow in the subposet ``q_masks[qi]``, numbered within that subposet's
-    antichains and shifted by ``seg_offsets[qi]``. Evaluating every subposet
-    exponent for one weighting is then a single weighted bincount over the
-    flattened array followed by segmented entropy sums, so one call costs
-    time in proportion to m·(2^n − 1) cells. ``restrict`` gives the same
-    table over a subset of the rows; ``c_star`` iterates on such a working
-    set and calls the full table only to refresh and certify it.
+    antichains and shifted by ``seg_offsets[qi]``. One weighted bincount
+    over the flattened array gives the block masses (``masses``), in time
+    proportional to m·(2^n − 1) cells; the exponents (segmented entropy
+    sums) and the supergradients of any rows are read off those masses.
+    ``restrict`` gives the same table over a subset of the rows: the ascent's
+    working set, and the KKT polish's active rows.
     """
 
     __slots__ = ("poset", "family", "q_masks", "sizes", "index", "seg_offsets", "total_len")
@@ -149,8 +158,8 @@ class ExponentTable:
     def restrict(self, rows):
         """The table over the subposets ``q_masks[r]`` for r in rows, in that order.
 
-        Each row keeps its shadow map, so ``values`` and ``gradient`` of the
-        restricted table agree bit for bit with those rows of this one.
+        Each row keeps its shadow map, so the masses, exponents and gradients
+        of the restricted table agree bit for bit with those rows of this one.
         """
         rows = np.asarray(rows, dtype=np.intp)
         sigma = self.index[rows] - self.seg_offsets[rows, None]
@@ -159,31 +168,31 @@ class ExponentTable:
             self.poset, self.family, [self.q_masks[r] for r in rows], sigma, sub_counts
         )
 
-    def sigma(self, q_index):
-        """Shadow index map into one subposet, numbered within its antichains."""
-        return self.index[q_index] - self.seg_offsets[q_index]
-
-    def values(self, alpha):
-        """Exponent of every nonempty subposet under one weighting."""
+    def masses(self, alpha):
+        """Block masses, flat by segment: cell ``index[qi, j]`` receives alpha[j]."""
         alpha = np.asarray(alpha, dtype=float)
         tiled = np.tile(alpha, len(self.q_masks))
-        beta = np.bincount(self.index.ravel(), weights=tiled, minlength=self.total_len)
-        terms = -_xlogy(beta, beta)
-        seg = np.add.reduceat(terms, self.seg_offsets[:-1])
+        return np.bincount(self.index.ravel(), weights=tiled, minlength=self.total_len)
+
+    def exponents(self, beta):
+        """Exponent of every row's subposet from the block masses beta."""
+        seg = np.add.reduceat(-_xlogy(beta, beta), self.seg_offsets[:-1])
         # reduceat on an empty trailing segment cannot occur: every subposet
         # has at least the empty antichain, so all segments are nonempty.
         return seg / self.sizes
 
+    def gradients(self, beta, rows=slice(None)):
+        """Supergradients of the exponents of rows at beta's weighting, one row each."""
+        safe = np.maximum(beta, 1e-300)
+        return (-np.log(safe[self.index[rows]]) - 1.0) / self.sizes[rows, None]
+
+    def values(self, alpha):
+        """Exponent of every nonempty subposet under one weighting."""
+        return self.exponents(self.masses(alpha))
+
     def objective(self, alpha):
         """The inner minimum over subposets."""
         return float(self.values(alpha).min())
-
-    def gradient(self, alpha, q_index):
-        """Supergradient of one subposet exponent at alpha."""
-        sigma = self.sigma(q_index)
-        beta = np.bincount(sigma, weights=np.asarray(alpha, dtype=float))
-        safe = np.maximum(beta, 1e-300)
-        return (-np.log(safe[sigma]) - 1.0) / self.sizes[q_index]
 
 
 # -- symmetry ------------------------------------------------------------------
@@ -217,8 +226,8 @@ def antichain_symmetry_group(poset, family):
         for i, v in enumerate(psi):
             psi_inv[v] = i
         perm = []
-        for s in family.masks:
-            comp = full & ~poset.upset_of(s)
+        for up in family.upsets:
+            comp = full & ~up
             maxers = 0
             for i in _bits(comp):
                 if not poset.above[i] & comp:
@@ -302,6 +311,9 @@ class Classification:
 
 # The KKT polish and the LP bound use at most this many active subposets.
 _DUAL_MAX_TERMS = 120
+# The KKT polish's rounds of dropping negative multipliers, and Newton steps per round.
+_KKT_ROUNDS = 6
+_KKT_ITERS = 60
 # _game_lp's feasibility and pivot tolerance, and its pivot cap.
 _LP_TOL = 1e-12
 _LP_MAX_PIVOTS = 20000
@@ -382,9 +394,10 @@ def _dual_upper_bound(table, alpha, record=None):
     m = alpha.size
     interior = (1.0 - 1e-9) * alpha + 1e-9 / m
     interior /= interior.sum()
-    chosen = _active_rows(table.values(interior))
-    grads = np.column_stack([table.gradient(interior, qi) for qi in chosen])
-    inv_sizes = np.array([1.0 / table.sizes[qi] for qi in chosen])
+    beta = table.masses(interior)
+    chosen = _active_rows(table.exponents(beta))
+    grads = table.gradients(beta, chosen).T
+    inv_sizes = 1.0 / table.sizes[chosen]
     k = len(chosen)
     game = grads + inv_sizes
     lam, row_strategy, pivots = _game_lp(game)
@@ -402,7 +415,7 @@ def _dual_upper_bound(table, alpha, record=None):
     return math.nextafter(bound + (k + m + 4) * np.finfo(float).eps * scale, math.inf)
 
 
-def _kkt_polish(table, alpha, rounds=6):
+def _kkt_polish(table, alpha):
     """Newton refinement of a near-optimal weighting on its active set.
 
     Solves the stationarity system for the detected support and the active
@@ -413,7 +426,7 @@ def _kkt_polish(table, alpha, rounds=6):
     alpha = np.asarray(alpha, dtype=float)
     support = np.where(alpha > 1e-10)[0]
     active = _active_rows(table.values(alpha))
-    for _ in range(rounds):
+    for _ in range(_KKT_ROUNDS):
         result = _kkt_solve(table, alpha, support, active)
         if result is None:
             return None
@@ -426,7 +439,8 @@ def _kkt_polish(table, alpha, rounds=6):
     return refined
 
 
-def _kkt_solve(table, alpha, support, active, iters=60):
+def _kkt_solve(table, alpha, support, active):
+    """Newton steps on the stationarity system, built from the active rows' block masses."""
     s = support.size
     k = len(active)
     x = np.maximum(alpha[support], 1e-14)
@@ -434,53 +448,35 @@ def _kkt_solve(table, alpha, support, active, iters=60):
     lam = np.full(k, 1.0 / k)
     nu = 0.0
     t = table.objective(alpha)
-    sigma_s = [table.sigma(qi)[support] for qi in active]
-    # Support pairs in the same block of a subposet's partition.
-    same_s = [sig[:, None] == sig[None, :] for sig in sigma_s]
-    m_q = [
-        int(table.seg_offsets[qi + 1] - table.seg_offsets[qi]) for qi in active
-    ]
-    sizes = [float(table.sizes[qi]) for qi in active]
-
-    def assemble(x, lam, nu, t):
-        grads = np.empty((s, k))
-        hess = np.zeros((s, s))
-        h_vals = np.empty(k)
-        for a in range(k):
-            beta = np.bincount(sigma_s[a], weights=x, minlength=m_q[a])
-            safe = np.maximum(beta, 1e-300)
-            grads[:, a] = (-np.log(safe[sigma_s[a]]) - 1.0) / sizes[a]
-            h_vals[a] = float(-_xlogy(beta, beta).sum()) / sizes[a]
-            inv = np.where(beta > 0, 1.0 / safe, 0.0)
-            hess += lam[a] * (-np.where(same_s[a], inv[sigma_s[a]][:, None], 0.0) / sizes[a])
-        r1 = grads @ lam - nu
-        r2 = h_vals - t
-        r3 = np.array([x.sum() - 1.0])
-        r4 = np.array([lam.sum() - 1.0])
-        res = np.concatenate([r1, r2, r3, r4])
-        jac = np.zeros((s + k + 2, s + k + 2))
-        jac[:s, :s] = hess
-        jac[:s, s : s + k] = grads
-        jac[:s, s + k] = -1.0
-        jac[s : s + k, :s] = grads.T
-        jac[s : s + k, s + k + 1] = -1.0
-        jac[s + k, :s] = 1.0
-        jac[s + k + 1, s : s + k] = 1.0
-        return res, jac
-
-    for _ in range(iters):
-        res, jac = assemble(x, lam, nu, t)
+    sub = table.restrict(active)
+    cells = sub.index[:, support]
+    # Support pairs in the same block of each active subposet's partition.
+    same = cells[:, :, None] == cells[:, None, :]
+    weights = np.zeros(len(table.family))
+    for _ in range(_KKT_ITERS):
+        weights[support] = x
+        beta = sub.masses(weights)
+        grads = sub.gradients(beta)[:, support]
+        res = np.concatenate([lam @ grads - nu, sub.exponents(beta) - t, [x.sum() - 1.0, lam.sum() - 1.0]])
         if not np.all(np.isfinite(res)):
             return None
         if np.abs(res).max() < 1e-13:
             break
+        jac = np.zeros((s + k + 2, s + k + 2))
+        # The Hessian: sum over active Q of -lam_Q / (|Q| beta) on pairs in one block.
+        jac[:s, :s] = -np.einsum("ai,aij->ij", (lam / sub.sizes)[:, None] / beta[cells], same)
+        jac[:s, s : s + k] = grads.T
+        jac[:s, s + k] = -1.0
+        jac[s : s + k, :s] = grads
+        jac[s : s + k, s + k + 1] = -1.0
+        jac[s + k, :s] = 1.0
+        jac[s + k + 1, s : s + k] = 1.0
         try:
             # gelsd (SVD): these systems are heavily rank-deficient; gelsy stalls when cores are busy.
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         except np.linalg.LinAlgError:
             return None
         dx = step[:s]
-        dlam = step[s : s + k]
         scale = 1.0
         neg = dx < 0
         if np.any(neg):
@@ -488,14 +484,13 @@ def _kkt_solve(table, alpha, support, active, iters=60):
         if not math.isfinite(scale) or scale <= 0:
             return None
         x = x + scale * dx
-        lam = lam + scale * dlam
+        lam = lam + scale * step[s : s + k]
         nu += scale * step[s + k]
         t += scale * step[s + k + 1]
         x = np.maximum(x, 1e-300)
         x = x / x.sum()
-    refined = np.zeros(len(table.family))
-    refined[support] = x
-    return refined, lam
+    weights[support] = x
+    return weights, lam
 
 
 def two_point_weighting(family, x_star):
@@ -560,13 +555,13 @@ def balanced_solve(poset, family=None):
     return BalancedSolution(float(root), c_value, two_point_weighting(family, root))
 
 
-def classify(poset, family=None, table=None, tol=1e-9):
+def classify(poset, family=None, table=None):
     """Decide which special weighting, if any, attains the max-min exponent.
 
     UniformlyBalanced when the uniform weighting already minimizes at the
     full poset; otherwise Balanced when the two-point balanced weighting
-    does; otherwise General. Violations list the subposets that dip below
-    the target, as (mask, value, target) triples.
+    does; otherwise General. Violations list the subposets that dip more
+    than CLASSIFY_TOL below the target, as (mask, value, target) triples.
     """
     if family is None:
         family = antichains(poset)
@@ -580,7 +575,7 @@ def classify(poset, family=None, table=None, tol=1e-9):
     violations = [
         (int(table.q_masks[i]), float(vals[i]), target)
         for i in range(len(vals))
-        if vals[i] < target - tol
+        if vals[i] < target - CLASSIFY_TOL
     ]
     details = {"uniform_value": target, "uniform_min": float(vals.min())}
     if not violations:
@@ -597,7 +592,7 @@ def classify(poset, family=None, table=None, tol=1e-9):
             bviol = [
                 (int(table.q_masks[i]), float(bvals[i]), btarget)
                 for i in range(len(bvals))
-                if bvals[i] < btarget - tol
+                if bvals[i] < btarget - CLASSIFY_TOL
             ]
             details["balanced_x"] = sol.x_star
             details["balanced_value"] = sol.c_value
@@ -693,10 +688,12 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
         ws_best_val, ws_best_alpha = -math.inf, None
         for _ in range(poll):
             iterations += 1
-            if iterations >= next_refresh:
+            src = table if iterations >= next_refresh else ws
+            beta = src.masses(alpha)
+            vals = src.exponents(beta)
+            g = float(vals.min())
+            if src is table:
                 full_evaluations += 1
-                vals = table.values(alpha)
-                g = float(vals.min())
                 if rows is not None:
                     if vals[rows].min() == g:
                         gap = min(2 * gap, poll)
@@ -706,19 +703,12 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
                 next_refresh = iterations + gap
                 rows = np.flatnonzero(vals <= g + WS_MARGIN)
                 ws = table.restrict(rows)
-                vals = vals[rows]
                 record["working_set"] = max(record["working_set"], len(rows))
-            else:
-                vals = ws.values(alpha)
-                g = float(vals.min())
             if g > ws_best_val:
                 ws_best_val = g
                 ws_best_alpha = alpha.copy()
-            active = np.where(vals <= g + 1e-9)[0]
-            grad = np.zeros(m)
-            for qi in active:
-                grad += ws.gradient(alpha, qi)
-            grad /= len(active)
+            active = np.flatnonzero(vals <= g + 1e-9)
+            grad = src.gradients(beta, active).sum(axis=0) / len(active)
             eta = eta0 / math.sqrt(iterations)
             logs = np.log(np.maximum(alpha, 1e-300)) + eta * (grad - grad.max())
             logs -= logs.max()

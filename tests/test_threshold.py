@@ -28,6 +28,7 @@ from randposet.posets import (
 )
 from randposet import threshold
 from randposet.cli import _TABLE1
+from randposet.correspondence import shadow_indices
 from randposet.threshold import (
     ExponentTable,
     antichain_symmetry_group,
@@ -390,10 +391,36 @@ def test_restricted_table_agrees_bit_for_bit(n, seed, data):
     )
     sub = table.restrict(rows)
     assert sub.q_masks == [table.q_masks[r] for r in rows]
+    beta, sub_beta = table.masses(alpha), sub.masses(alpha)
     assert np.array_equal(sub.values(alpha), table.values(alpha)[rows])
+    assert np.array_equal(sub.exponents(sub_beta), table.exponents(beta)[rows])
+    assert np.array_equal(sub.gradients(sub_beta), table.gradients(beta, rows))
+    offsets, sub_offsets = table.seg_offsets, sub.seg_offsets
     for local, r in enumerate(rows):
-        assert np.array_equal(sub.sigma(local), table.sigma(r))
-        assert np.array_equal(sub.gradient(alpha, local), table.gradient(alpha, r))
+        assert np.array_equal(
+            sub_beta[sub_offsets[local] : sub_offsets[local + 1]], beta[offsets[r] : offsets[r + 1]]
+        )
+        assert np.array_equal(sub.index[local] - sub_offsets[local], table.index[r] - offsets[r])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10 ** 6))
+def test_gradients_match_a_per_row_bincount(n, seed):
+    # Each row's supergradient, (-log beta_Q(shadow) - 1) / |Q|, against the
+    # masses of that row alone, from shadow_indices and not from the table.
+    rng = random.Random(seed)
+    poset = random_poset(rng, n, density=rng.random())
+    family = antichains(poset)
+    m = len(family)
+    alpha = np.random.default_rng(seed).dirichlet(np.full(m, rng.choice([0.1, 1.0, 5.0])))
+    alpha[np.random.default_rng(seed + 1).random(m) < 0.2] = 0.0
+    table = ExponentTable.build(poset, family)
+    grads = table.gradients(table.masses(alpha))
+    sigma, _ = shadow_indices(family, table.q_masks)
+    for qi, row in enumerate(sigma):
+        beta = np.bincount(row, weights=alpha)
+        want = (-np.log(np.maximum(beta, 1e-300)[row]) - 1.0) / bin(table.q_masks[qi]).count("1")
+        assert np.array_equal(grads[qi], want)
 
 
 def test_ascent_on_a_working_set_keeps_the_iterates():
