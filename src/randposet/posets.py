@@ -415,7 +415,7 @@ def _signature(poset, i):
 _COPY_CELLS = 1 << 16
 
 
-def copy_blocks(words, pattern, induced=False):
+def copy_blocks(words, pattern, induced=False, before=()):
     """Yield, in blocks, the copies of a pattern in an array of distinct words.
 
     A copy maps the pattern's elements to distinct words, x < y to a strict
@@ -426,6 +426,11 @@ def copy_blocks(words, pattern, induced=False):
     down-set size, over the popcount-sorted words. One block size doubles
     from a single row across the whole search up to _COPY_CELLS cells, so
     the first copy costs about what a row-at-a-time search costs.
+
+    ``before`` holds order conditions, pairs (u, v) of pattern elements: only
+    copies where the image of u comes before the image of v in the
+    popcount-sorted word order are yielded. Each is checked at the step that
+    places the later of u and v; with none, every copy is yielded.
     """
     pc = np.bitwise_count(words)
     order = np.argsort(pc, kind="stable").astype(np.int32 if len(words) < 2 ** 31 else np.int64)
@@ -433,14 +438,19 @@ def copy_blocks(words, pattern, induced=False):
     # starts[r] is the first position of a word with popcount at least r.
     starts = np.searchsorted(pc, np.arange(8 * words.itemsize + 2))
     elems = sorted(range(pattern.n), key=lambda i: pattern.below[i].bit_count())
+    step = {u: d for d, u in enumerate(elems)}
     # A word fits a step when it is a strict superset of the lower covers'
     # images (so past their largest popcount) and differs from, or when
     # induced is incomparable with, the other placed images; none is above.
+    # It must also come after the images in ``after`` and before those in
+    # ``ahead``, the placed partners of its order conditions.
     steps = []
     for d, u in enumerate(elems):
         below = [c for c in range(d) if pattern.lt(elems[c], u)]
         covers = [c for c in below if not pattern.above[elems[c]] & pattern.below[u]]
-        steps.append((covers, [c for c in range(d) if c not in below]))
+        after = [step[a] for a, b in before if step[b] == d and step[a] < d]
+        ahead = [step[b] for a, b in before if step[a] == d and step[b] < d]
+        steps.append((covers, [c for c in range(d) if c not in below], after, ahead))
     block_rows = 1
 
     def extend(rows, d):
@@ -448,7 +458,7 @@ def copy_blocks(words, pattern, induced=False):
         if d == pattern.n:
             yield order[rows[:, np.argsort(elems)]]
             return
-        covers, others = steps[d]
+        covers, others, after, ahead = steps[d]
         # Each row's largest lower-cover popcount, -1 without covers.
         top = pc[rows[:, covers]].astype(np.int16).max(axis=1, initial=-1)
         widest = len(words) - int(starts[top.min() + 1])
@@ -465,6 +475,12 @@ def copy_blocks(words, pattern, induced=False):
             for c in others:
                 x = words[chunk[:, c]][:, None]
                 mask &= ((tail & x) != x) & ((tail | x) != x) if induced else tail != x
+            if after or ahead:
+                positions = np.arange(lo, len(words))
+                for c in after:
+                    mask &= positions > chunk[:, c][:, None]
+                for c in ahead:
+                    mask &= positions < chunk[:, c][:, None]
             hit_row, hit_col = np.nonzero(mask)
             grown = np.column_stack((chunk[hit_row], (hit_col + lo).astype(order.dtype)))
             del mask, hit_row, hit_col

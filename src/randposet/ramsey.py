@@ -6,7 +6,10 @@ second (weak subposet copies by default). Each arrow question becomes a CNF
 over one variable per host element, one clause per copy that
 posets.copy_blocks finds among the host's down-set masks, solved by
 an embedded CDCL solver. Avoidance in subset lattices is encoded the same
-way.
+way. The copy search meets one map per orbit of the pattern's
+automorphisms, not one per automorphism: order conditions from the
+stabiliser chain of the group pick it, and numpy drops the image sets that
+weak copies still repeat.
 
 Ramsey threshold exponents are bracketed by c* values: a host that arrows
 the pair gives a lower bound, a colouring of the random poset that avoids it
@@ -30,6 +33,7 @@ from .posets import (
     Poset,
     PosetError,
     antichains,
+    automorphisms,
     boolean_lattice,
     catalog,
     contains_copy,
@@ -166,20 +170,42 @@ def _distinct_rows(rows):
     return rows[order[~repeat]]
 
 
+def _orbit_conditions(pattern):
+    """Order conditions under which a copy search meets one copy per Aut-orbit.
+
+    Pairs (u, v) for copy_blocks' ``before``, from the stabiliser chain of
+    Grochow and Kellis (RECOMB 2007): take the element with the largest orbit
+    (ties to the lowest index), require it to map below every other element
+    of that orbit, restrict to its stabiliser, and repeat until the group is
+    trivial. Aut(F) acts freely on injective maps, so of each orbit of maps
+    exactly one meets every condition.
+    """
+    group, conditions = automorphisms(pattern), []
+    while len(group) > 1:
+        orbits = [sorted({g[u] for g in group}) for u in range(pattern.n)]
+        u = max(range(pattern.n), key=lambda i: (len(orbits[i]), -i))
+        conditions += [(u, v) for v in orbits[u] if v != u]
+        group = [g for g in group if g[u] == u]
+    return conditions
+
+
 def _copy_images(words, patterns, induced):
     """The distinct copies of any pattern among words, as rows of sorted indices.
 
     One int32 row per image set, ascending; a family of mixed sizes pads the
     shorter rows with -1 at the end. Rows come in lexicographic order, which
-    is the order ``sorted`` gives the image tuples. Repeats are dropped
-    whenever the rows held since the last pass outnumber both the distinct
-    rows and _HELD_ROWS, so memory follows the distinct copies, not the
-    copies met.
+    is the order ``sorted`` gives the image tuples. The search meets one map
+    per orbit of the pattern's automorphisms (``_orbit_conditions``), so
+    images repeated through an automorphism are not generated. Weak copies
+    can still repeat an image set through a map that is not an automorphism;
+    those repeats are dropped whenever the rows held since the last pass
+    outnumber both the distinct rows and _HELD_ROWS, so memory follows the
+    distinct copies, not the copies met.
     """
     width = max(p.n for p in patterns)
     distinct, held, pending = np.empty((0, width), dtype=np.int32), 0, []
     for pat in patterns:
-        for block in copy_blocks(words, pat, induced):
+        for block in copy_blocks(words, pat, induced, _orbit_conditions(pat)):
             rows = np.full((len(block), width), -1, dtype=np.int32)
             rows[:, : pat.n] = np.sort(block, axis=1)
             pending.append(rows)
@@ -196,7 +222,9 @@ def pattern_copies(host, pattern, mode="all-weak"):
     lexicographic order. Modes: "all-weak" (injective order-preserving
     images), "all-induced" (also order-reflecting), "subcube" (images of
     whole coordinate subcubes; the pattern must itself be a subset lattice).
-    Duplicate images arising from pattern automorphisms are removed.
+    The search meets one map per orbit of the pattern's automorphisms, so
+    images repeated through an automorphism are not generated; the repeats
+    weak copies still have are dropped.
     """
     d = _boolean_dimension(host)
     if mode == "subcube":
@@ -323,33 +351,66 @@ def _literal_array(values):
         raise PosetError("literal %d out of range" % big) from None
 
 
+def _dimacs_piece(lines, numbers):
+    """The integers on some DIMACS body lines (numbered ``numbers``) as int32.
+
+    When every token is an optional sign and digits, separated by ASCII
+    whitespace, one numpy call reads them all. Otherwise, or when a literal
+    is beyond int32, the lines are read again one by one, so that a bad token
+    names its line and a literal out of range its value.
+    """
+    joined = " ".join(lines)
+    if joined.isascii():
+        b = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+        digit, space = (b - ord("0")) < 10, (b == ord(" ")) | ((b - ord("\t")) < 5)
+        # A sign must open a token and precede a digit: numpy reads a lone
+        # "-" as 0 and "- 1" as -1, which int() rejects.
+        sign = ((b == ord("+")) | (b == ord("-"))) & np.append(digit[1:], False)
+        sign[1:] &= space[:-1]
+        if np.all(digit | space | sign):
+            values = np.fromstring(joined, dtype=np.int64, sep=" ")
+            if np.all((-(2 ** 31) < values) & (values < 2 ** 31)):
+                return values.astype(np.int32)
+    tokens = []
+    for lineno, line in zip(numbers, lines):
+        try:
+            tokens += map(int, line.split())
+        except ValueError:
+            raise PosetError("DIMACS line %d is not integers: %r" % (lineno, line)) from None
+    return _literal_array(tokens)
+
+
 def parse_dimacs(text):
     """Read a DIMACS CNF file back into a CnfFormula (comments dropped).
 
     Each clause ends at its 0, so a clause may span lines and a line may hold
     several clauses; a lone 0 is the empty clause, and literals after the
-    last 0 form one more clause.
+    last 0 form one more clause. The loop over lines only drops comments and
+    reads the header; each piece of about _DIMACS_TOKENS body tokens is
+    converted in one call.
     """
     num_vars = None
-    pieces, tokens = [], []
+    pieces, lines, numbers, tokens = [], [], [], 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line[0] == "c":
             continue
-        try:
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) < 4 or parts[1] != "cnf":
-                    raise PosetError("bad DIMACS header: %r" % line)
+        if line[0] == "p":
+            parts = line.split()
+            if len(parts) < 4 or parts[1] != "cnf":
+                raise PosetError("bad DIMACS header: %r" % line)
+            try:
                 num_vars = int(parts[2])
-                continue
-            tokens += map(int, line.split())
-        except ValueError:
-            raise PosetError("DIMACS line %d is not integers: %r" % (lineno, line)) from None
-        if len(tokens) >= _DIMACS_TOKENS:
-            pieces.append(_literal_array(tokens))
-            tokens = []
-    values = np.concatenate(pieces + [_literal_array(tokens)])
+            except ValueError:
+                raise PosetError("DIMACS line %d is not integers: %r" % (lineno, line)) from None
+            continue
+        lines.append(line)
+        numbers.append(lineno)
+        tokens += line.count(" ") + 1  # other whitespace only moves where a piece ends
+        if tokens >= _DIMACS_TOKENS:
+            pieces.append(_dimacs_piece(lines, numbers))
+            lines, numbers, tokens = [], [], 0
+    values = np.concatenate(pieces + [_dimacs_piece(lines, numbers)])
     # Clause i ends at the i-th zero, after the literals before that zero but for the i zeros.
     ends = np.flatnonzero(values == 0)
     offsets = np.concatenate(([0], ends - np.arange(len(ends))))

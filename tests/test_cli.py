@@ -463,6 +463,12 @@ def test_sat_outputs_are_pinned(tmp_path, capsys):
     code, out, _ = run(capsys, "sat-encode", "--host", "boolean:6", "--pattern", "layered:2,1,2")
     assert code == 0
     assert sha256(out) == "bf351a856613e0a5fb1a0ee6c0ddebaa02b30d921796ddd311700fc45330de41"
+    # Recorded while the copy search still met every copy once per automorphism.
+    code, out, _ = run(
+        capsys, "sat-encode", "--host", "boolean:5", "--pattern", "boolean:3", "--mode", "all-induced"
+    )
+    assert code == 0
+    assert sha256(out) == "d01b8f271bb7189cf148205f9ebed5dce543bfdc0716e75013f44d153f809cbc"
     path = tmp_path / "b5b3.cnf"
     path.write_text(b5b3, encoding="utf-8")
     code, out, err = run(capsys, "sat-solve", "--dimacs", str(path), "--json", "--stats")

@@ -30,6 +30,7 @@ from randposet.posets import (
     Poset,
     PosetError,
     antichains,
+    automorphisms,
     boolean_lattice,
     catalog,
     chain,
@@ -38,6 +39,7 @@ from randposet.posets import (
     vee,
     wedge,
 )
+from randposet.ramsey import _orbit_conditions
 from randposet.threshold import ExponentTable
 
 
@@ -406,6 +408,30 @@ def test_copy_blocks_match_brute_force(case, induced):
     rank = np.argsort(np.argsort(np.bitwise_count(words), kind="stable"))
     keys = [tuple(int(rank[row[e]]) for e in elems) for row in rows]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_and_pattern(), st.booleans())
+def test_orbit_conditions_meet_each_copy_once(case, induced):
+    host, words, pattern = case
+    group = automorphisms(pattern)
+    brute = list(brute_images(host, pattern, induced))
+    images = sorted({tuple(sorted(b)) for b in brute})
+    conditions = _orbit_conditions(pattern)
+    # Reversed, each condition puts its element above the rest of its orbit,
+    # which breaks the symmetry as well; copy_blocks checks those pairs at u.
+    for before in (conditions, [(v, u) for u, v in conditions]):
+        blocks = copy_blocks(words, pattern, induced, before)
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert len(rows) == len(brute) / len(group)
+        # Aut(F) acts on a map f by f -> f o g; each orbit holds one row met.
+        met, seen = set(rows), set()
+        for image in brute:
+            if image not in seen:
+                orbit = {tuple(image[g[i]] for i in range(pattern.n)) for g in group}
+                assert len(orbit & met) == 1
+                seen |= orbit
+        assert sorted({tuple(sorted(r)) for r in rows}) == images
 
 
 def test_count_copies_rejects_bad_mode():

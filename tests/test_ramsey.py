@@ -30,6 +30,7 @@ from randposet.posets import (
 from randposet import ramsey
 from randposet.ramsey import (
     _KNOWN_HOSTS,
+    _orbit_conditions,
     CnfFormula,
     arrows,
     assignment_to_colouring,
@@ -321,6 +322,15 @@ def test_enumeration_input_guards():
         enumerate_pattern_copies(boolean_lattice(2), chain(2), mode="sideways")
 
 
+def test_orbit_conditions_follow_the_stabiliser_chain():
+    # A chain has no automorphism but the identity, so nothing to break.
+    assert _orbit_conditions(chain(4)) == []
+    # B3's atoms are 1, 2, 4 in mask order: fixing atom 1 leaves the swap of 2 and 4.
+    assert _orbit_conditions(boolean_lattice(3)) == [(1, 2), (1, 4), (2, 4)]
+    # Four incomparable elements: each must map below every later one.
+    assert _orbit_conditions(antichain_poset(4)) == list(itertools.combinations(range(4), 2))
+
+
 # -- CNF encoding and solving ----------------------------------------------------------
 
 
@@ -435,6 +445,18 @@ def test_parse_dimacs_rejects_non_integer_tokens():
         parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n")
     with pytest.raises(PosetError, match="line 2"):
         parse_dimacs("p cnf 2 1\n1 x 0\n")
+
+
+def test_parse_dimacs_reads_tokens_as_int_does():
+    # One numpy call reads a piece; what it would read otherwise than int()
+    # (a lone sign, digits int() rejects or accepts) goes line by line.
+    for bad, line in (("1 - 0", 2), ("1 0\n+\n", 3), ("1 --2 0", 2), ("1-2 0", 2), ("0x1 0", 2)):
+        with pytest.raises(PosetError, match="line %d" % line):
+            parse_dimacs("p cnf 2 1\n" + bad)
+    assert parse_dimacs("p cnf 3 2\n+1\t-2 0\x0c3 0\n").clauses == [(1, -2), (3,)]
+    assert parse_dimacs("p cnf 12 1\n1_2 \u0663 0\n").clauses == [(12, 3)]
+    with pytest.raises(PosetError, match="literal 99999999999999999999 out of range"):
+        parse_dimacs("p cnf 1 1\n99999999999999999999 0\n")
 
 
 def test_solver_basic_outcomes():
