@@ -164,9 +164,9 @@ def copy_of_partition(family, partition):
         raise PosetError("partition is indexed by a different antichain family")
     poset = family.poset
     images = [0] * poset.n
-    for up, part in zip(family.upsets, partition.parts):
+    for elements, part in zip(family.upset_elements, partition.parts):
         if part:
-            for i in _bits(up):
+            for i in elements:
                 images[i] |= part
     return CopyMap(poset, partition.n, images)
 
@@ -182,11 +182,14 @@ def partition_of_copy(family, copy):
     poset = family.poset
     if copy.poset != poset:
         raise PosetError("copy map belongs to a different poset")
+    full = (1 << copy.n) - 1
+    images = copy.images
+    complements = [~image for image in images]
     parts = []
     for up in family.upsets:
-        part = (1 << copy.n) - 1
-        for i, image in enumerate(copy.images):
-            part &= image if up >> i & 1 else ~image
+        part = full
+        for i in range(poset.n):
+            part &= images[i] if up >> i & 1 else complements[i]
         parts.append(part)
     return Partition(family, copy.n, parts)
 
@@ -210,16 +213,34 @@ def shadow_antichain(poset, q_mask, s_mask):
     return out
 
 
-# Subposet rows handled at once by shadow_indices; at the 14-element size cap
-# this keeps each (rows x antichains) temporary to one or two MiB.
-_BLOCK_CELLS = 1 << 18
+# Cells of the subposet rows that shadow_indices handles at once: each
+# (rows x antichains) temporary takes 128 or 256 KiB. Larger blocks build no
+# faster and raise a process's peak RSS (by about 3 MiB at 2^18 cells).
+_BLOCK_CELLS = 1 << 15
 
 
-def _above_union(masks, above):
-    """Elementwise union of above[i] over the elements i of each mask."""
-    out = np.zeros_like(masks)
-    for i, up in enumerate(above):
-        out |= (masks >> i & 1) * up
+def _union_tables(above, dtype):
+    """One union table per byte of element indices.
+
+    Table k has 256 entries; entry b is the union of above[8k + i] over the
+    bits i of b.
+    """
+    tables = []
+    for base in range(0, len(above) or 1, 8):
+        table = np.zeros(256, dtype=dtype)
+        for i, up in enumerate(above[base : base + 8]):
+            table[1 << i : 2 << i] = table[: 1 << i] | up
+        tables.append(table)
+    return tables
+
+
+def _above_union(masks, tables):
+    """Elementwise union of above[i] over the elements i of each mask: one gather per byte."""
+    out = tables[0][masks & 255]
+    for k, table in enumerate(tables[1:], 1):
+        byte = masks >> 8 * k
+        byte &= 255
+        out |= table[byte]
     return out
 
 
@@ -232,12 +253,15 @@ def shadow_indices(family, q_masks):
     parent family alone: the antichains of the subposet on Q are the parent
     antichains inside Q in the same order (depth-first lexicographic order
     survives restriction, and the empty antichain stays last in both), so a
-    shadow's index is its rank among them.
+    shadow's index is its rank among them. A shadow is the part of
+    up(S) ∩ Q that lies above nothing else in it; the union of the up-sets
+    above it comes from one 256-entry table per byte of element indices.
     """
     poset = family.poset
     dtype = np.int32 if poset.n < 32 else np.int64
+    tables = _union_tables(poset.above, dtype)
     masks = np.array(family.masks, dtype=dtype)
-    upsets = masks | _above_union(masks, poset.above)
+    upsets = masks | _above_union(masks, tables)
     order = np.argsort(masks)
     sorted_masks = masks[order]
     q_masks = np.asarray(q_masks, dtype=dtype)
@@ -248,7 +272,7 @@ def shadow_indices(family, q_masks):
         block = slice(start, start + rows)
         q = q_masks[block, None]
         reach = upsets & q
-        shadow = reach & ~_above_union(reach, poset.above)
+        shadow = reach & ~_above_union(reach, tables)
         parent_pos = order[np.searchsorted(sorted_masks, shadow)]
         rank = np.cumsum((masks & ~q) == 0, axis=1, dtype=np.int32)
         sigma[block] = np.take_along_axis(rank, parent_pos, axis=1) - 1

@@ -222,13 +222,14 @@ class AntichainFamily:
     Weightings over antichains index into this order throughout the package.
     """
 
-    __slots__ = ("poset", "masks", "index", "_upsets")
+    __slots__ = ("poset", "masks", "index", "_upsets", "_upset_elements")
 
     def __init__(self, poset, masks):
         self.poset = poset
         self.masks = tuple(masks)
         self.index = {m: k for k, m in enumerate(self.masks)}
         self._upsets = None
+        self._upset_elements = None
 
     @property
     def upsets(self):
@@ -236,6 +237,13 @@ class AntichainFamily:
         if self._upsets is None:
             self._upsets = tuple(self.poset.upset_of(s) for s in self.masks)
         return self._upsets
+
+    @property
+    def upset_elements(self):
+        """The elements of each antichain's up-set, ascending, in family order; computed on first use."""
+        if self._upset_elements is None:
+            self._upset_elements = tuple(tuple(_bits(up)) for up in self.upsets)
+        return self._upset_elements
 
     def __len__(self):
         return len(self.masks)

@@ -62,13 +62,20 @@ def _family(patterns):
     return out
 
 
+def _with_conditions(patterns):
+    """Each pattern paired with its ``_orbit_conditions``, built once."""
+    return [(pat, _orbit_conditions(pat)) for pat in patterns]
+
+
 def _decide_arrow(words, firsts, seconds, induced):
     """Decide an arrow through the avoidance CNF of the host with elements words.
 
-    One clause per copy: no first-family copy all in colour 1, no second one
-    all in colour 2. Returns (True, None) or (False, witness colouring).
+    firsts and seconds are (pattern, orbit conditions) pairs, as from
+    ``_with_conditions``. One clause per copy: no first-family copy all in
+    colour 1, no second one all in colour 2. Returns (True, None) or
+    (False, witness colouring).
     """
-    blocks = [(sign, _copy_images(words, patterns, induced)) for sign, patterns in ((-1, firsts), (1, seconds))]
+    blocks = [(sign, _copy_images(words, side, induced)) for sign, side in ((-1, firsts), (1, seconds))]
     res = solve_cnf(_avoidance_cnf(len(words), blocks))
     if res.status == "unsat":
         return True, None
@@ -90,7 +97,7 @@ def arrows(host, first, second, induced=False):
     if host.n > ARROW_SIZE_CAP:
         raise CapacityError("host has %d elements, above the arrow cap %d" % (host.n, ARROW_SIZE_CAP))
     words = np.array([host.down_mask(i) for i in range(host.n)], dtype=np.int64)
-    return _decide_arrow(words, firsts, seconds, induced)
+    return _decide_arrow(words, _with_conditions(firsts), _with_conditions(seconds), induced)
 
 
 def verify_colouring(host, colouring, first, second, induced=False):
@@ -120,13 +127,13 @@ def ramsey_number(first, second, n_max=4, induced=False):
     """Smallest lattice dimension whose subset lattice arrows the pair.
 
     Every dimension is decided through the avoidance CNF, as in ``arrows``
-    but without its host-size cap; returns None when no dimension up to
-    n_max works.
+    but without its host-size cap, from one build of each pattern's orbit
+    conditions; returns None when no dimension up to n_max works.
     """
     if not n_max >= 1:
         raise PosetError("n_max must be an integer >= 1, got %r" % (n_max,))
-    firsts = _family(first)
-    seconds = _family(second)
+    firsts = _with_conditions(_family(first))
+    seconds = _with_conditions(_family(second))
     for dim in range(1, n_max + 1):
         if _decide_arrow(np.arange(1 << dim), firsts, seconds, induced)[0]:
             return dim
@@ -189,23 +196,25 @@ def _orbit_conditions(pattern):
     return conditions
 
 
-def _copy_images(words, patterns, induced):
+def _copy_images(words, searches, induced):
     """The distinct copies of any pattern among words, as rows of sorted indices.
 
-    One int32 row per image set, ascending; a family of mixed sizes pads the
-    shorter rows with -1 at the end. Rows come in lexicographic order, which
-    is the order ``sorted`` gives the image tuples. The search meets one map
-    per orbit of the pattern's automorphisms (``_orbit_conditions``), so
-    images repeated through an automorphism are not generated. Weak copies
-    can still repeat an image set through a map that is not an automorphism;
-    those repeats are dropped whenever the rows held since the last pass
-    outnumber both the distinct rows and _HELD_ROWS, so memory follows the
-    distinct copies, not the copies met.
+    searches holds (pattern, orbit conditions) pairs, as from
+    ``_with_conditions``. One int32 row per image set, ascending; a family of
+    mixed sizes pads the shorter rows with -1 at the end. Rows come in
+    lexicographic order, which is the order ``sorted`` gives the image
+    tuples. The search meets one map per orbit of the pattern's
+    automorphisms (``_orbit_conditions``), so images repeated through an
+    automorphism are not generated. Weak copies can still repeat an image
+    set through a map that is not an automorphism; those repeats are
+    dropped whenever the rows held since the last pass outnumber both the
+    distinct rows and _HELD_ROWS, so memory follows the distinct copies,
+    not the copies met.
     """
-    width = max(p.n for p in patterns)
+    width = max(pat.n for pat, _ in searches)
     distinct, held, pending = np.empty((0, width), dtype=np.int32), 0, []
-    for pat in patterns:
-        for block in copy_blocks(words, pat, induced, _orbit_conditions(pat)):
+    for pat, before in searches:
+        for block in copy_blocks(words, pat, induced, before):
             rows = np.full((len(block), width), -1, dtype=np.int32)
             rows[:, : pat.n] = np.sort(block, axis=1)
             pending.append(rows)
@@ -247,7 +256,7 @@ def pattern_copies(host, pattern, mode="all-weak"):
             "copy bound %d^%d (antichains^dimension) exceeds the enumeration guard %d"
             % (m, d, SCAN_GUARD)
         )
-    return _copy_images(np.arange(1 << d), [pattern], mode == "all-induced")
+    return _copy_images(np.arange(1 << d), _with_conditions([pattern]), mode == "all-induced")
 
 
 def enumerate_pattern_copies(host, pattern, mode="all-weak"):
@@ -385,11 +394,13 @@ def parse_dimacs(text):
 
     Each clause ends at its 0, so a clause may span lines and a line may hold
     several clauses; a lone 0 is the empty clause, and literals after the
-    last 0 form one more clause. The loop over lines only drops comments and
-    reads the header; each piece of about _DIMACS_TOKENS body tokens is
-    converted in one call.
+    last 0 form one more clause. A ``p cnf`` header's clause count must match
+    the clauses read; a file with no header takes its variable count from
+    the largest literal. The loop over lines only drops comments and reads
+    the header; each piece of about _DIMACS_TOKENS body tokens is converted
+    in one call.
     """
-    num_vars = None
+    num_vars = num_clauses = None
     pieces, lines, numbers, tokens = [], [], [], 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -400,7 +411,7 @@ def parse_dimacs(text):
             if len(parts) < 4 or parts[1] != "cnf":
                 raise PosetError("bad DIMACS header: %r" % line)
             try:
-                num_vars = int(parts[2])
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise PosetError("DIMACS line %d is not integers: %r" % (lineno, line)) from None
             continue
@@ -417,6 +428,10 @@ def parse_dimacs(text):
     lits = values[values != 0]
     if len(lits) > offsets[-1]:
         offsets = np.append(offsets, len(lits))
+    if num_clauses is not None and num_clauses != len(offsets) - 1:
+        raise PosetError(
+            "DIMACS header announces %d clauses but the file holds %d" % (num_clauses, len(offsets) - 1)
+        )
     if num_vars is None:
         num_vars = int(np.abs(lits).max(initial=0))
     return CnfFormula(num_vars, lits, offsets)

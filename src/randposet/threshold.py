@@ -38,6 +38,8 @@ WS_MARGIN = 0.05
 ACTIVE_TOL = 1e-3
 # classify counts a subposet as below a weighting's target beyond this margin.
 CLASSIFY_TOL = 1e-9
+# Cells of each block of rows that masses takes at once on a full ExponentTable (128 KiB of weights).
+_MASS_BLOCK_CELLS = 1 << 14
 
 
 def _xlogy(x, y):
@@ -124,21 +126,26 @@ class ExponentTable:
 
     Row qi of the 2-D array ``index`` sends each parent antichain to its
     shadow in the subposet ``q_masks[qi]``, numbered within that subposet's
-    antichains and shifted by ``seg_offsets[qi]``. One weighted bincount
-    over the flattened array gives the block masses (``masses``), in time
+    antichains and shifted by ``seg_offsets[qi]``. A weighted bincount over
+    the flattened array gives the block masses (``masses``), in time
     proportional to m·(2^n − 1) cells; the exponents (segmented entropy
     sums) and the supergradients of any rows are read off those masses.
-    ``restrict`` gives the same table over a subset of the rows: the ascent's
-    working set, and the KKT polish's active rows.
+    The weights come from one buffer made with the table: all rows of a
+    restricted table, blocks of at most ``_MASS_BLOCK_CELLS`` cells of the
+    full one, so a full evaluation neither allocates nor keeps a second
+    table-sized array. ``restrict`` gives the same table over a subset of
+    the rows: the ascent's working set, and the KKT polish's active rows.
     """
 
-    __slots__ = ("poset", "family", "q_masks", "sizes", "index", "seg_offsets", "total_len")
+    __slots__ = (
+        "poset", "family", "q_masks", "sizes", "index", "seg_offsets", "total_len", "_weights", "_cells"
+    )
 
-    def __init__(self, poset, family, q_masks, sigma, sub_counts):
+    def __init__(self, poset, family, q_masks, sizes, sigma, sub_counts, block_rows):
         self.poset = poset
         self.family = family
         self.q_masks = q_masks
-        self.sizes = np.array([q.bit_count() for q in q_masks], dtype=float)
+        self.sizes = sizes
         offsets = np.zeros(len(q_masks) + 1, dtype=np.intp)
         np.cumsum(sub_counts, out=offsets[1:])
         self.seg_offsets = offsets
@@ -146,6 +153,9 @@ class ExponentTable:
         # Shift in place: at the size cap the table is tens of MiB.
         sigma += offsets[:-1, None]
         self.index = sigma
+        # alpha once per row of a block, and a block's indices shifted to its first segment.
+        self._weights = np.empty((min(len(q_masks), block_rows), sigma.shape[1]))
+        self._cells = np.empty(self._weights.shape, dtype=np.intp) if len(q_masks) > len(self._weights) else None
 
     @classmethod
     def build(cls, poset, family=None):
@@ -153,7 +163,9 @@ class ExponentTable:
         if family is None:
             family = antichains(poset)
         q_masks = list(range(1, 1 << poset.n))
-        return cls(poset, family, q_masks, *shadow_indices(family, q_masks))
+        sizes = np.array([q.bit_count() for q in q_masks], dtype=float)
+        block_rows = max(1, _MASS_BLOCK_CELLS // len(family))
+        return cls(poset, family, q_masks, sizes, *shadow_indices(family, q_masks), block_rows)
 
     def restrict(self, rows):
         """The table over the subposets ``q_masks[r]`` for r in rows, in that order.
@@ -162,29 +174,51 @@ class ExponentTable:
         of the restricted table agree bit for bit with those rows of this one.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        sigma = self.index[rows] - self.seg_offsets[rows, None]
+        sigma = self.index[rows]
+        sigma -= self.seg_offsets[rows, None]
         sub_counts = np.diff(self.seg_offsets)[rows]
-        return ExponentTable(
-            self.poset, self.family, [self.q_masks[r] for r in rows], sigma, sub_counts
-        )
+        q_masks = [self.q_masks[r] for r in rows]
+        return ExponentTable(self.poset, self.family, q_masks, self.sizes[rows], sigma, sub_counts, len(rows))
 
     def masses(self, alpha):
-        """Block masses, flat by segment: cell ``index[qi, j]`` receives alpha[j]."""
-        alpha = np.asarray(alpha, dtype=float)
-        tiled = np.tile(alpha, len(self.q_masks))
-        return np.bincount(self.index.ravel(), weights=tiled, minlength=self.total_len)
+        """Block masses, flat by segment: cell ``index[qi, j]`` receives alpha[j].
+
+        Each bin sums its cells in the order of j, the order one bincount over
+        the whole table would take, block of rows by block of rows.
+        """
+        weights = self._weights
+        weights[...] = alpha
+        step = len(weights)
+        if step == len(self.q_masks):
+            return np.bincount(self.index.ravel(), weights=weights.ravel(), minlength=self.total_len)
+        beta = np.empty(self.total_len)
+        for start in range(0, len(self.q_masks), step):
+            stop = min(start + step, len(self.q_masks))
+            lo, hi = self.seg_offsets[start], self.seg_offsets[stop]
+            cells = np.subtract(self.index[start:stop], lo, out=self._cells[: stop - start]).ravel()
+            beta[lo:hi] = np.bincount(cells, weights=weights[: stop - start].ravel(), minlength=hi - lo)
+        return beta
 
     def exponents(self, beta):
         """Exponent of every row's subposet from the block masses beta."""
-        seg = np.add.reduceat(-_xlogy(beta, beta), self.seg_offsets[:-1])
+        # -beta log beta with 0 log 0 = 0, as -_xlogy(beta, beta), in one temporary.
+        terms = np.where(beta != 0, beta, 1.0)
+        np.log(terms, out=terms)
+        terms *= beta
+        np.negative(terms, out=terms)
         # reduceat on an empty trailing segment cannot occur: every subposet
         # has at least the empty antichain, so all segments are nonempty.
-        return seg / self.sizes
+        return np.add.reduceat(terms, self.seg_offsets[:-1]) / self.sizes
 
     def gradients(self, beta, rows=slice(None)):
         """Supergradients of the exponents of rows at beta's weighting, one row each."""
-        safe = np.maximum(beta, 1e-300)
-        return (-np.log(safe[self.index[rows]]) - 1.0) / self.sizes[rows, None]
+        grads = beta[self.index[rows]]
+        np.maximum(grads, 1e-300, out=grads)
+        np.log(grads, out=grads)
+        np.negative(grads, out=grads)
+        grads -= 1.0
+        grads /= self.sizes[rows, None]
+        return grads
 
     def values(self, alpha):
         """Exponent of every nonempty subposet under one weighting."""
@@ -415,19 +449,20 @@ def _dual_upper_bound(table, alpha, record=None):
     return math.nextafter(bound + (k + m + 4) * np.finfo(float).eps * scale, math.inf)
 
 
-def _kkt_polish(table, alpha):
+def _kkt_polish(table, alpha, vals):
     """Newton refinement of a near-optimal weighting on its active set.
 
     Solves the stationarity system for the detected support and the active
-    subposets the LP bound would choose; returns a refined full weighting,
-    or None when the solve does not produce a usable point. The caller
-    re-evaluates honestly.
+    subposets the LP bound would choose, from alpha and its exponents vals;
+    returns a refined full weighting, or None when the solve does not
+    produce a usable point. The caller re-evaluates honestly.
     """
     alpha = np.asarray(alpha, dtype=float)
     support = np.where(alpha > 1e-10)[0]
-    active = _active_rows(table.values(alpha))
+    active = _active_rows(vals)
+    level = float(vals.min())
     for _ in range(_KKT_ROUNDS):
-        result = _kkt_solve(table, alpha, support, active)
+        result = _kkt_solve(table, alpha, support, active, level)
         if result is None:
             return None
         refined, lam = result
@@ -436,18 +471,21 @@ def _kkt_polish(table, alpha):
             return refined
         active = [qi for qi in active if qi not in bad]
         alpha = refined
+        level = table.objective(alpha)
     return refined
 
 
-def _kkt_solve(table, alpha, support, active):
-    """Newton steps on the stationarity system, built from the active rows' block masses."""
+def _kkt_solve(table, alpha, support, active, t):
+    """Newton steps on the stationarity system, built from the active rows' block masses.
+
+    t is the objective at alpha.
+    """
     s = support.size
     k = len(active)
     x = np.maximum(alpha[support], 1e-14)
     x = x / x.sum()
     lam = np.full(k, 1.0 / k)
     nu = 0.0
-    t = table.objective(alpha)
     sub = table.restrict(active)
     cells = sub.index[:, support]
     # Support pairs in the same block of each active subposet's partition.
@@ -567,10 +605,30 @@ def classify(poset, family=None, table=None):
         family = antichains(poset)
     if table is None:
         table = ExponentTable.build(poset, family)
-    m = len(family)
+    uniform = np.full(len(family), 1.0 / len(family))
+    return _classify(poset, table, table.values(uniform), *_balanced(poset, family, table))
+
+
+def _balanced(poset, family, table):
+    """The two-point balanced weighting as (solution, its exponents, error).
+
+    All three are None when the poset is not bounded or is too small
+    (n < 2 or m < 4); when ``balanced_solve`` finds no root, error is its
+    message and the other two are None.
+    """
+    if not (poset.is_bounded() and poset.n >= 2 and len(family) >= 4):
+        return None, None, None
+    try:
+        sol = balanced_solve(poset, family)
+    except PosetError as err:
+        return None, None, str(err)
+    return sol, table.values(sol.weighting), None
+
+
+def _classify(poset, table, vals, sol, bvals, error):
+    """classify from the uniform weighting's exponents vals and what _balanced returns."""
+    m = len(table.family)
     n = poset.n
-    uniform = np.full(m, 1.0 / m)
-    vals = table.values(uniform)
     target = math.log(m) / n
     violations = [
         (int(table.q_masks[i]), float(vals[i]), target)
@@ -580,26 +638,21 @@ def classify(poset, family=None, table=None):
     details = {"uniform_value": target, "uniform_min": float(vals.min())}
     if not violations:
         return Classification("UniformlyBalanced", [], details)
-    uniform_violations = violations
-    if poset.is_bounded() and n >= 2 and m >= 4:
-        try:
-            sol = balanced_solve(poset, family)
-        except PosetError as err:
-            details["balanced_error"] = str(err)
-        else:
-            bvals = table.values(sol.weighting)
-            btarget = float(bvals[table.q_masks.index(poset.full_mask())])
-            bviol = [
-                (int(table.q_masks[i]), float(bvals[i]), btarget)
-                for i in range(len(bvals))
-                if bvals[i] < btarget - CLASSIFY_TOL
-            ]
-            details["balanced_x"] = sol.x_star
-            details["balanced_value"] = sol.c_value
-            if not bviol:
-                return Classification("Balanced", [], details)
-            details["balanced_violations"] = bviol
-    return Classification("General", uniform_violations, details)
+    if error is not None:
+        details["balanced_error"] = error
+    elif sol is not None:
+        btarget = float(bvals[table.q_masks.index(poset.full_mask())])
+        bviol = [
+            (int(table.q_masks[i]), float(bvals[i]), btarget)
+            for i in range(len(bvals))
+            if bvals[i] < btarget - CLASSIFY_TOL
+        ]
+        details["balanced_x"] = sol.x_star
+        details["balanced_value"] = sol.c_value
+        if not bviol:
+            return Classification("Balanced", [], details)
+        details["balanced_violations"] = bviol
+    return Classification("General", violations, details)
 
 
 def c_star(poset, tol=1e-6, max_iter=6000, name=None):
@@ -644,33 +697,36 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
     m = len(family)
     notes = []
 
-    starts = [np.full(m, 1.0 / m)]
-    if poset.is_bounded() and poset.n >= 2 and m >= 4:
-        try:
-            starts.append(balanced_solve(poset, family).weighting)
-            notes.append("balanced two-point start available")
-        except PosetError:
-            pass
+    uniform = np.full(m, 1.0 / m)
+    starts = [(uniform, table.values(uniform))]
+    balanced = _balanced(poset, family, table)
+    sol, bvals, _ = balanced
+    if sol is not None:
+        starts.append((sol.weighting, bvals))
+        notes.append("balanced two-point start available")
 
-    # best_val and best_alpha change only in try_improvements, after a
-    # full-table evaluation, so the lower bound stays the objective over
-    # every subposet.
-    best_alpha = None
+    # best_val, best_alpha and best_vals change only in try_improvements,
+    # after a full-table evaluation, so the lower bound stays the objective
+    # over every subposet. A start comes with its evaluation made.
+    best_alpha = best_vals = None
     best_val = -math.inf
     full_evaluations = 0
 
-    def try_improvements(candidate):
-        nonlocal best_val, best_alpha, full_evaluations
+    def try_improvements(candidate, vals=None):
+        nonlocal best_val, best_alpha, best_vals, full_evaluations
         if candidate is None:
             return
         full_evaluations += 1
-        v = table.objective(candidate)
+        if vals is None:
+            vals = table.values(candidate)
+        v = float(vals.min())
         if v > best_val:
             best_val = v
             best_alpha = candidate
+            best_vals = vals
 
-    for alpha0 in starts:
-        try_improvements(alpha0)
+    for alpha0, vals0 in starts:
+        try_improvements(alpha0, vals0)
     upper = _dual_upper_bound(table, best_alpha)
     iterations = 0
     alpha = np.array(best_alpha, dtype=float)
@@ -702,6 +758,8 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
                         record["misses"] += 1
                 next_refresh = iterations + gap
                 rows = np.flatnonzero(vals <= g + WS_MARGIN)
+                # Free the old working-set table before the new one is built.
+                ws = None
                 ws = table.restrict(rows)
                 record["working_set"] = max(record["working_set"], len(rows))
             if g > ws_best_val:
@@ -718,7 +776,7 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
             ws_best_alpha = alpha
         try_improvements(ws_best_alpha)
         t1 = time.perf_counter()
-        polished = _kkt_polish(table, best_alpha)
+        polished = _kkt_polish(table, best_alpha, best_vals)
         before = best_val
         try_improvements(polished)
         record["polish"] = "failed" if polished is None else "improved" if best_val > before else "no gain"
@@ -729,7 +787,8 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
         record["bracket_width"] = upper - best_val
         polls.append(record)
 
-    rep = _report(poset, family, table, name, best_alpha, upper, iterations, tol, notes)
+    label = _classify(poset, table, starts[0][1], *balanced).label
+    rep = _report(poset, family, table, name, best_alpha, best_vals, label, upper, iterations, tol, notes)
     rep.stats = {"full_evaluations": full_evaluations, "polls": polls}
     return rep
 
@@ -749,12 +808,15 @@ def _c_star_disconnected(poset, comps, tol, max_iter, name):
         alpha *= np.asarray(rep.certificate)[sigma]
     alpha = np.maximum(alpha, 0)
     alpha /= alpha.sum()
+    table = ExponentTable.build(poset, family)
     rep = _report(
         poset,
         family,
-        ExponentTable.build(poset, family),
+        table,
         name,
         alpha,
+        table.values(alpha),
+        classify(poset, family, table).label,
         min(rep.upper_bound for rep in reports),
         sum(rep.iterations for rep in reports),
         tol,
@@ -767,15 +829,14 @@ def _c_star_disconnected(poset, comps, tol, max_iter, name):
     return rep
 
 
-def _report(poset, family, table, name, alpha, upper, iterations, tol, notes):
-    """Report for a certificate alpha and a certified upper bound.
+def _report(poset, family, table, name, alpha, vals, label, upper, iterations, tol, notes):
+    """Report for a certificate alpha, its exponents vals, its class label and a certified upper bound.
 
     The value is the objective at alpha; the lower bound is the value rounded
     inward by (m + 4) ulps of it, which covers the roundoff of its m-term
     entropy sums as in _dual_upper_bound. The bracket counts as converged
     only when it is ordered and no wider than tol.
     """
-    vals = table.values(alpha)
     value = float(vals.min())
     allowance = (len(alpha) + 4) * np.finfo(float).eps * abs(value)
     lower = math.nextafter(value - allowance, -math.inf)
@@ -798,7 +859,7 @@ def _report(poset, family, table, name, alpha, upper, iterations, tol, notes):
         upper_bound=upper,
         certificate=[float(v) for v in alpha],
         active_subposets=active_masks,
-        classification=classify(poset, family, table).label,
+        classification=label,
         iterations=iterations,
         tolerance=tol,
         converged=converged,

@@ -551,6 +551,16 @@ def test_sat_solve_rejects_non_integer_dimacs(tmp_path, capsys):
     assert err.startswith("error: ") and "line 3" in err
 
 
+def test_sat_solve_rejects_a_short_dimacs_body(tmp_path, capsys):
+    path = tmp_path / "short.cnf"
+    path.write_text("p cnf 2 3\n1 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "sat-solve", "--dimacs", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "3 clauses" in err and "holds 1" in err
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [

@@ -264,17 +264,18 @@ def reference_shadow_maps(poset, family):
     Built the long way, independently of shadow_indices: enumerate the
     antichains of the induced subposet on Q, and look up each shadow there.
     """
-    out = []
-    for q in range(1, 1 << poset.n):
-        sub = induced_subposet(poset, q)
-        subfamily = antichains(sub)
-        sigma = []
-        for s in family.masks:
-            shadow = shadow_antichain(poset, q, s)
-            local = sum(1 << k for k, e in enumerate(sub.parent_elements) if shadow >> e & 1)
-            sigma.append(subfamily.position(local))
-        out.append((sigma, len(subfamily)))
-    return out
+    return [reference_shadow_row(poset, family, q) for q in range(1, 1 << poset.n)]
+
+
+def reference_shadow_row(poset, family, q):
+    sub = induced_subposet(poset, q)
+    subfamily = antichains(sub)
+    sigma = []
+    for s in family.masks:
+        shadow = shadow_antichain(poset, q, s)
+        local = sum(1 << k for k, e in enumerate(sub.parent_elements) if shadow >> e & 1)
+        sigma.append(subfamily.position(local))
+    return sigma, len(subfamily)
 
 
 def check_shadow_tables(poset):
@@ -294,6 +295,30 @@ def check_shadow_tables(poset):
 def test_shadow_indices_match_the_subposet_families(seed):
     rng = random.Random(seed)
     check_shadow_tables(random_poset(rng, rng.randrange(1, 8)))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_shadow_indices_across_two_bytes_of_elements(n):
+    # Elements 8 and up are read through the second byte's union table; a
+    # shuffled order puts them below others as often as above.
+    rng = random.Random(20261020 + n)
+    order = rng.sample(range(n), n)
+    relations = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    check_shadow_tables(Poset(n, relations))
+
+
+def test_shadow_indices_beyond_32_elements():
+    # Masks of 32 or more elements are int64; two chains of 20 with shuffled
+    # labels keep the family at 441 antichains.
+    rng = random.Random(40)
+    labels = rng.sample(range(40), 40)
+    relations = [(labels[i], labels[i + 1]) for i in range(39) if i != 19]
+    poset = Poset(40, relations)
+    family = antichains(poset)
+    q_masks = [rng.getrandbits(40) | 1 << labels[39] for _ in range(6)] + [(1 << 40) - 1]
+    sigma, counts = shadow_indices(family, q_masks)
+    for row, count, q in zip(sigma, counts, q_masks):
+        assert (row.tolist(), count) == reference_shadow_row(poset, family, q)
 
 
 @pytest.mark.parametrize("spec", ["blowup:2,4", "y''", "layered:1,2,1,2,1"])

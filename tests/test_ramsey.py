@@ -287,7 +287,7 @@ def test_copy_images_of_a_mixed_family_in_tuple_order(monkeypatch, held_rows, in
     monkeypatch.setattr(ramsey, "_HELD_ROWS", held_rows)
     host = boolean_lattice(3)
     patterns = [chain(2), chain(3), vee()]
-    rows = ramsey._copy_images(np.arange(host.n), patterns, induced)
+    rows = ramsey._copy_images(np.arange(host.n), ramsey._with_conditions(patterns), induced)
     want = sorted({tuple(sorted(image)) for p in patterns for image in brute_images(host, p, induced)})
     assert rows.dtype == np.int32 and rows.shape == (len(want), 3)
     assert [tuple(v for v in row if v >= 0) for row in rows.tolist()] == want
@@ -320,6 +320,18 @@ def test_enumeration_input_guards():
         enumerate_pattern_copies(boolean_lattice(2), vee(), mode="subcube")
     with pytest.raises(PosetError):
         enumerate_pattern_copies(boolean_lattice(2), chain(2), mode="sideways")
+
+
+def test_ramsey_number_builds_orbit_conditions_once_per_pattern(monkeypatch):
+    # One build per pattern and side for the whole call, not per dimension.
+    built = []
+    orbit_conditions = ramsey._orbit_conditions
+    monkeypatch.setattr(ramsey, "_orbit_conditions", lambda p: built.append(p) or orbit_conditions(p))
+    assert ramsey_number(diamond(), diamond()) == 4
+    assert len(built) == 2
+    built.clear()
+    assert ramsey_number(chain(2), [vee(), chain(3)], n_max=3) == 3
+    assert len(built) == 3
 
 
 def test_orbit_conditions_follow_the_stabiliser_chain():
@@ -430,6 +442,17 @@ def test_parse_dimacs_rejects_bad_header():
         parse_dimacs("p dnf 2 1\n1 0\n")
     with pytest.raises(PosetError, match="line 1"):
         parse_dimacs("p cnf two 1\n1 0\n")
+
+
+def test_parse_dimacs_checks_the_header_clause_count():
+    # A truncated body no longer solves as if it were the whole file.
+    with pytest.raises(PosetError, match="announces 3 clauses but the file holds 1"):
+        parse_dimacs("p cnf 2 3\n1 0\n")
+    with pytest.raises(PosetError, match="announces 1 clauses but the file holds 2"):
+        parse_dimacs("p cnf 2 1\n1 0 2\n")
+    # Without a header the body is read as it stands.
+    back = parse_dimacs("c no header\n1 -3 0\n2 0\n")
+    assert back.num_vars == 3 and back.clauses == [(1, -3), (2,)]
 
 
 def test_parse_dimacs_ends_each_clause_at_its_zero():

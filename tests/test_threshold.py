@@ -403,6 +403,34 @@ def test_restricted_table_agrees_bit_for_bit(n, seed, data):
         assert np.array_equal(sub.index[local] - sub_offsets[local], table.index[r] - offsets[r])
 
 
+@pytest.mark.parametrize("block_cells", [7, 300, threshold._MASS_BLOCK_CELLS])
+def test_masses_carry_nothing_over_between_weightings(monkeypatch, block_cells):
+    # Each table fills one weight buffer per call: a restricted table all its
+    # rows at once, the full table a block of rows at a time when it has
+    # more cells than a block. Called with two weightings in turn, a table
+    # gives, bit for bit, what a freshly built one gives for the second, and
+    # what one bincount over alpha repeated once per row gives.
+    monkeypatch.setattr(threshold, "_MASS_BLOCK_CELLS", block_cells)
+    rng = random.Random(block_cells)
+    for n in (3, 6, 9):
+        poset = random_poset(rng, n, density=rng.random())
+        m = len(antichains(poset))
+        gen = np.random.default_rng(n)
+        first, second = gen.dirichlet(np.ones(m)), gen.dirichlet(np.full(m, 0.3))
+        second[gen.random(m) < 0.2] = 0.0
+        rows = rng.sample(range((1 << n) - 1), min(40, (1 << n) - 1))
+        table = ExponentTable.build(poset)
+        for used, fresh in (
+            (table, ExponentTable.build(poset)),
+            (table.restrict(rows), ExponentTable.build(poset).restrict(rows)),
+        ):
+            used.masses(first)
+            got = used.masses(second)
+            tiled = np.tile(second, len(used.q_masks))
+            want = np.bincount(used.index.ravel(), weights=tiled, minlength=used.total_len)
+            assert got.tobytes() == want.tobytes() == fresh.masses(second).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10 ** 6))
 def test_gradients_match_a_per_row_bincount(n, seed):
@@ -693,6 +721,23 @@ def test_classify_large_boolean_lattice_is_not_uniform():
     assert got.label == "Balanced"
     assert got.details["uniform_min"] < got.details["uniform_value"] - 1e-9
     assert got.details["balanced_value"] == pytest.approx(0.3635641159, abs=1e-9)
+
+
+def test_classify_reports_a_balance_equation_without_root(monkeypatch):
+    # boolean:3 is Balanced; with no root it falls back to the uniform
+    # weighting's violations, in classify and in the c_star report alike.
+    def no_root(poset, family=None):
+        raise PosetError("no root")
+
+    monkeypatch.setattr(threshold, "balanced_solve", no_root)
+    got = classify(boolean_lattice(3))
+    assert got.label == "General"
+    assert got.violations
+    assert got.details["balanced_error"] == "no root"
+    assert "balanced_x" not in got.details
+    rep = c_star(boolean_lattice(3))
+    assert rep.classification == "General"
+    assert "balanced two-point start available" not in rep.notes
 
 
 def test_certificate_matches_balanced_weighting():
