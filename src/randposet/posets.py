@@ -8,9 +8,11 @@ The module also provides the catalog of named posets used on the command
 line, a tiny text format for user-defined posets, antichain enumeration, the
 standard constructions (reversal, disjoint union, lexicographic product,
 tower gluing), and one copy search, copy_blocks: a blockwise numpy search for
-the copies of a pattern among distinct subset words. Over a host's down-set
-masks it finds copies of one poset inside another, automorphisms and
-isomorphisms, for hosts of at most 64 elements.
+the copies of a pattern among distinct subset words, which keeps each partial
+copy's candidate words as a packed bitset and finds the words above a set of
+images from a per-search table with one row per nibble value. Over a host's
+down-set masks it finds copies of one poset inside another, automorphisms
+and isomorphisms, for hosts of at most 64 elements.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def _witness_cycle(n, relations, start):
 class Poset:
     """An immutable finite poset with a strict order on 0..n-1."""
 
-    __slots__ = ("n", "above", "below", "labels", "parent_elements", "_hash")
+    __slots__ = ("n", "above", "below", "labels", "parent_elements", "_hash", "_covers")
 
     def __init__(self, n, relations=(), labels=None, _above=None):
         self.n = n
@@ -123,6 +125,7 @@ class Poset:
         self.labels = labels
         self.parent_elements = None
         self._hash = hash((n, self.above))
+        self._covers = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -190,14 +193,22 @@ class Poset:
         """True when the poset has a unique minimum and a unique maximum."""
         return self.n > 0 and len(self.minimal_elements()) == 1 and len(self.maximal_elements()) == 1
 
+    @property
+    def covers(self):
+        """The covering relations (i, j), i < j with nothing between, as a
+        tuple by i then j; computed on first use."""
+        if self._covers is None:
+            self._covers = tuple(
+                (i, j)
+                for i in range(self.n)
+                for j in _bits(self.above[i])
+                if not self.above[i] & self.below[j]
+            )
+        return self._covers
+
     def cover_pairs(self):
         """List of covering relations (i, j) with i < j and nothing between."""
-        out = []
-        for i in range(self.n):
-            for j in _bits(self.above[i]):
-                if not (self.above[i] & self.below[j]):
-                    out.append((i, j))
-        return out
+        return list(self.covers)
 
     def is_antichain(self, mask):
         """True when the elements of mask are pairwise incomparable."""
@@ -419,8 +430,44 @@ def _signature(poset, i):
     return (poset.below[i].bit_count(), poset.above[i].bit_count())
 
 
-# Cells (partial copies x candidate words) in one mask of copy_blocks.
-_COPY_CELLS = 1 << 16
+# Packed words (partial copies x 64-position columns) in one block of
+# copy_blocks at most, and in one gather of nibble-table rows.
+_COPY_CELLS = 1 << 13
+# Candidates read out of one block at most, unless one row holds more.
+_COPY_HITS = 1 << 14
+_BYTE_BITS = np.array([[1 << k] for k in range(8)], dtype=np.uint8)
+
+
+def _nibble_tables(words, nibbles, subsets):
+    """Packed index of sorted words: row v * nibbles + q holds the positions
+    whose word has every bit of v in its nibble q (row q holds every position).
+
+    Position j is bit j % 64 of column j // 64. With ``subsets``, the rows
+    (16 + v) * nibbles + q follow: the positions whose nibble q has no bit
+    outside v.
+    """
+    count, width, size = len(words), -(-len(words) // 64), -(-nibbles // 2)
+    raw = np.zeros((size, 64 * width), dtype=np.uint8)  # byte k of each word, row k
+    raw[:, :count] = words.astype("<u8").view(np.uint8).reshape(count, 8)[:, :size].T
+    bits = np.empty((size, 8, 8 * width), dtype=np.uint8)
+    for k in range(size):
+        bits[k] = np.packbits(raw[k] & _BYTE_BITS, axis=1, bitorder="little")
+    have = bits.view("<u8").reshape(2 * size, 4, width)[:nibbles].transpose(1, 0, 2)
+    table = np.empty((16 * (1 + subsets), nibbles, width), dtype=np.uint64)
+    table[0] = ~np.uint64(0)
+    if count % 64:
+        table[0, :, -1] = (1 << count % 64) - 1
+    for b in range(4):
+        np.bitwise_and(table[: 1 << b], have[b], out=table[1 << b : 2 << b])
+    if subsets:
+        # Inside v means no bit of 15 - v: built as above from the clear
+        # bits, at row 16 + 15 - v, then put in order.
+        inside = table[16:]
+        inside[0] = table[0]
+        for b in range(4):
+            np.bitwise_and(inside[: 1 << b], table[0] & ~have[b], out=inside[1 << b : 2 << b])
+        inside[:] = inside[::-1].copy()
+    return table.reshape(len(table) * nibbles, width)
 
 
 def copy_blocks(words, pattern, induced=False, before=()):
@@ -431,67 +478,114 @@ def copy_blocks(words, pattern, induced=False, before=()):
     Each block holds one row per copy: indices into ``words``, columns
     aligned to pattern elements, rows in lexicographic order of placement.
     The search places the elements depth first, in a linear extension by
-    down-set size, over the popcount-sorted words. One block size doubles
-    from a single row across the whole search up to _COPY_CELLS cells, so
-    the first copy costs about what a row-at-a-time search costs.
+    down-set size, over the popcount-sorted words.
+
+    A partial copy's candidates are a packed set of word positions, 64 to a
+    column. For each nibble q and value v a table row holds the words with
+    every bit of v in nibble q, so the words containing the union U of the
+    lower covers' images are the AND, over U's nibbles, of one row each: one
+    gather and one reduce per block. When induced, the words containing or
+    lying inside another placed image are taken out, the latter from a
+    second table of the nibbles inside v. The set bits are read out row by
+    row, positions ascending, so rows come out in the order a row-at-a-time
+    search meets them. A candidate is then dropped when it is another placed
+    image, breaks an order condition, or does not lie past each lower
+    cover's image in the popcount order; a superset of a word lies past it
+    exactly when it is a strict superset. A block holds _COPY_CELLS // 16
+    packed words at first and doubles up to _COPY_CELLS, and reads out at
+    most _COPY_HITS candidates unless one row holds more.
 
     ``before`` holds order conditions, pairs (u, v) of pattern elements: only
     copies where the image of u comes before the image of v in the
     popcount-sorted word order are yielded. Each is checked at the step that
     places the later of u and v; with none, every copy is yielded.
     """
-    pc = np.bitwise_count(words)
-    order = np.argsort(pc, kind="stable").astype(np.int32 if len(words) < 2 ** 31 else np.int64)
-    words, pc = words[order], pc[order]
-    # starts[r] is the first position of a word with popcount at least r.
-    starts = np.searchsorted(pc, np.arange(8 * words.itemsize + 2))
+    order = np.argsort(np.bitwise_count(words), kind="stable")
+    order = order.astype(np.int32 if len(words) < 2 ** 31 else np.int64)
+    words = words[order].astype(np.uint64, copy=False)
     elems = sorted(range(pattern.n), key=lambda i: pattern.below[i].bit_count())
     step = {u: d for d, u in enumerate(elems)}
-    # A word fits a step when it is a strict superset of the lower covers'
-    # images (so past their largest popcount) and differs from, or when
-    # induced is incomparable with, the other placed images; none is above.
-    # It must also come after the images in ``after`` and before those in
-    # ``ahead``, the placed partners of its order conditions.
+    # A word fits a step when it contains the lower covers' images and lies
+    # past each of them in the popcount order (so is a strict superset), and
+    # is none of the other placed images or, when induced, neither contains
+    # nor lies in them; none is above. It must also come after the images in
+    # ``after`` and before those in ``ahead``, the placed partners of its
+    # order conditions. Each step keeps (covers, the partners a word must
+    # lie past, the partners to be incomparable with, the partners to
+    # differ from, ahead).
     steps = []
     for d, u in enumerate(elems):
         below = [c for c in range(d) if pattern.lt(elems[c], u)]
         covers = [c for c in below if not pattern.above[elems[c]] & pattern.below[u]]
+        others = [c for c in range(d) if c not in below]
         after = [step[a] for a, b in before if step[b] == d and step[a] < d]
         ahead = [step[b] for a, b in before if step[a] == d and step[b] < d]
-        steps.append((covers, [c for c in range(d) if c not in below], after, ahead))
-    block_rows = 1
+        steps.append((covers, covers + after, others if induced else [], [] if induced else others, ahead))
+    nibbles = max(1, -(-int(np.bitwise_or.reduce(words, initial=0)).bit_length() // 4))
+    table = _nibble_tables(words, nibbles, any(s[2] for s in steps))
+    width = table.shape[1]
+    shifts = np.arange(0, 4 * nibbles, 4)[:, None]
+    rows_of = np.arange(nibbles)[:, None]
+    block = _COPY_CELLS // 16
+
+    def meet(values, lo, half=0):
+        """Per value, the positions from column lo on whose words contain it
+        (half 0) or lie inside it (half 1)."""
+        index = ((values.view(np.int64) >> shifts) & 15) * nibbles + (rows_of + 16 * nibbles * half)
+        window = np.ascontiguousarray(table[:, lo:])
+        group = max(1, _COPY_CELLS // (len(values) * window.shape[1]))
+        held = np.bitwise_and.reduce(window.take(index[:group], axis=0), axis=0)
+        for q in range(group, nibbles, group):
+            held &= np.bitwise_and.reduce(window.take(index[q : q + group], axis=0), axis=0)
+        return held
 
     def extend(rows, d):
-        nonlocal block_rows
+        nonlocal block
         if d == pattern.n:
             yield order[rows[:, np.argsort(elems)]]
             return
-        covers, others, after, ahead = steps[d]
-        # Each row's largest lower-cover popcount, -1 without covers.
-        top = pc[rows[:, covers]].astype(np.int16).max(axis=1, initial=-1)
-        widest = len(words) - int(starts[top.min() + 1])
-        while len(rows):
-            take = max(1, min(block_rows, _COPY_CELLS // max(widest, 1)))
-            chunk, chunk_top, rows, top = rows[:take], top[:take, None], rows[take:], top[take:]
-            block_rows = min(2 * block_rows, _COPY_CELLS)
-            lo = int(starts[chunk_top.min() + 1])
-            tail = words[lo:]
-            mask = pc[lo:] > chunk_top
-            for c in covers:
-                x = words[chunk[:, c]][:, None]
-                mask &= (tail & x) == x
-            for c in others:
-                x = words[chunk[:, c]][:, None]
-                mask &= ((tail & x) != x) & ((tail | x) != x) if induced else tail != x
-            if after or ahead:
-                positions = np.arange(lo, len(words))
-                for c in after:
-                    mask &= positions > chunk[:, c][:, None]
-                for c in ahead:
-                    mask &= positions < chunk[:, c][:, None]
-            hit_row, hit_col = np.nonzero(mask)
-            grown = np.column_stack((chunk[hit_row], (hit_col + lo).astype(order.dtype)))
-            del mask, hit_row, hit_col
+        covers, past, others, distinct, ahead = steps[d]
+        start = 0
+        while start < len(rows):
+            chunk = rows[start : start + max(1, block // ((1 + 2 * len(others)) * max(width, 1)))]
+            low = chunk[:, past].max(axis=1) + 1 if past else None
+            lo = int(low.min()) >> 6 if past else 0
+            if lo == width:  # past the last word: nothing fits
+                start += len(chunk)
+                continue
+            if covers:
+                held = meet(np.bitwise_or.reduce(words[chunk[:, covers]], axis=1), lo)
+            else:  # row 0 holds every position
+                held = np.repeat(table[:1, lo:], len(chunk), axis=0)
+            if others:
+                x = words[chunk[:, others]].T.ravel()
+                comparable = (meet(x, lo) | meet(x, lo, 1)).reshape(len(others), len(chunk), -1)
+                held &= ~np.bitwise_or.reduce(comparable, axis=0)
+            block = min(2 * block, _COPY_CELLS)
+            # Read out the set bits, row by row, positions ascending; past
+            # _COPY_HITS of them the block ends at the row boundary before.
+            words_hit = np.flatnonzero(held != 0)
+            if len(words_hit) > _COPY_HITS >> 6:
+                ends = np.cumsum(np.bitwise_count(held.ravel()[words_hit]))
+                if ends[-1] > _COPY_HITS:
+                    cut = max(1, int(words_hit[np.searchsorted(ends, _COPY_HITS, "right")]) // held.shape[1])
+                    chunk, held = chunk[:cut], held[:cut]
+                    words_hit, block = words_hit[words_hit < held.size], held.size
+            start += len(chunk)
+            packed = held.ravel()[words_hit].astype("<u8", copy=False).view(np.uint8)
+            bit = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool))
+            hit_row, column = np.divmod(words_hit[bit >> 6], held.shape[1])
+            grown = np.empty((len(bit), d + 1), dtype=order.dtype)
+            grown[:, :d] = chunk[hit_row]
+            grown[:, d] = position = ((column + lo) << 6) + (bit & 63)
+            keep = [position >= low[hit_row]] if past else []
+            if ahead:
+                keep.append(position < grown[:, ahead].min(axis=1))
+            if distinct:
+                keep.append((grown[:, distinct] != position[:, None]).all(axis=1))
+            del held, words_hit, packed, bit, hit_row, column, position
+            if keep:
+                grown = grown[np.logical_and.reduce(keep)]
             if len(grown):
                 yield from extend(grown, d + 1)
 

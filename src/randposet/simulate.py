@@ -4,9 +4,12 @@ A random family keeps each subset of an n-element ground set independently
 with probability exp(-c*n). Sampling draws the kept-count from the matching
 binomial and then that many distinct uniform words, which is
 distribution-identical and avoids touching all 2^n subsets. The first
-copy of a pattern that posets.copy_blocks finds in the sampled
-words decides containment, and sweeps over a grid of exponents chart the
-empirical probability curve around the threshold.
+copy of a pattern that posets.copy_blocks finds in the sampled words
+decides containment; near the threshold most trials hold none, so the
+search then visits every partial copy, each over packed bitsets of the
+sample's words. Sweeps over a grid of exponents chart the empirical
+probability curve around the threshold, and report per cell the time spent
+sampling and searching.
 """
 
 from __future__ import annotations
@@ -106,24 +109,35 @@ def copy_weighting(pattern, n, image_words):
 class SweepReport:
     """Empirical containment probabilities over a grid of exponents.
 
-    Per cell, ``cell_seconds`` holds the wall time and ``cell_words`` the
-    words sampled, as (sum, maximum) over its trials.
+    Per cell, ``cell_seconds`` holds the wall time, ``cell_stages`` the time
+    spent sampling and searching for a copy, and ``cell_words`` the words
+    sampled, as (sum, maximum) over its trials.
     """
 
     pattern_name: str
     n: int
     rows: list = field(default_factory=list)
     cell_seconds: list = field(default_factory=list)
+    cell_stages: list = field(default_factory=list)
     cell_words: list = field(default_factory=list)
     weight_records: list = field(default_factory=list)
 
     @property
     def stats(self):
-        """Time and sample sizes per cell, kept out of the JSON record."""
+        """Time per stage and sample sizes per cell, kept out of the JSON record."""
         return {
             "cells": [
-                {"c": row["c"], "seconds": seconds, "words": total, "max_words": largest}
-                for row, seconds, (total, largest) in zip(self.rows, self.cell_seconds, self.cell_words)
+                {
+                    "c": row["c"],
+                    "seconds": seconds,
+                    "sample_seconds": sample,
+                    "search_seconds": search,
+                    "words": total,
+                    "max_words": largest,
+                }
+                for row, seconds, (sample, search), (total, largest) in zip(
+                    self.rows, self.cell_seconds, self.cell_stages, self.cell_words
+                )
             ]
         }
 
@@ -173,13 +187,17 @@ def sweep(
         started = time.monotonic()
         successes = 0
         words = largest = 0
+        sampling = searching = 0.0
         for trial in range(trials):
             ss = np.random.SeedSequence(seed, spawn_key=(cell, trial))
             rng = np.random.default_rng(ss)
+            t0 = time.monotonic()
             sample = sample_pnp(n, c, budget=budget, rng=rng)
+            t1 = time.monotonic()
+            image = find_pattern(sample, pattern, induced=induced)
+            sampling, searching = sampling + t1 - t0, searching + time.monotonic() - t1
             words += len(sample)
             largest = max(largest, len(sample))
-            image = find_pattern(sample, pattern, induced=induced)
             if image is not None:
                 successes += 1
                 if record_weights:
@@ -200,5 +218,6 @@ def sweep(
             }
         )
         report.cell_seconds.append(time.monotonic() - started)
+        report.cell_stages.append((sampling, searching))
         report.cell_words.append((words, largest))
     return report

@@ -653,10 +653,40 @@ def test_simulate_stats_go_to_stderr_only(tmp_path, capsys, extra):
     cells = json.loads(err)["cells"]
     assert [cell["c"] for cell in cells] == [0.3, 0.6]
     for cell in cells:
-        assert set(cell) == {"c", "seconds", "words", "max_words"}
+        assert set(cell) == {"c", "seconds", "sample_seconds", "search_seconds", "words", "max_words"}
         assert cell["seconds"] >= 0 and 0 <= cell["max_words"] <= cell["words"] <= 3 * cell["max_words"]
+        # The two stages run inside the cell's wall time.
+        assert 0 <= cell["sample_seconds"] and 0 <= cell["search_seconds"]
+        assert cell["sample_seconds"] + cell["search_seconds"] <= cell["seconds"]
     # At n = 10 a cell at c keeps about 2^10 e^(-10c) words a trial.
     assert cells[0]["words"] > cells[1]["words"] > 0
+
+
+# sha256 of the `simulate --json` stdout and of the --record-weights file for
+# the three sweeps of the benchmark's sweep workload, recorded with the dense
+# copy search: the packed search must find the same first copy in each trial.
+SWEEP_SHA256 = [
+    (("v", "40", "0.49,0.54,0.59", "120"),
+     "e805db10f70520649a3f7617923c4ffb40d7ee98d4014711c78dc96f2e66f45a",
+     "c033e1d7ceaa7ad6453784ffbd1343c7b6a6cac87e0400178cdde8dbd9f39d52"),
+    (("chain:3", "32", "0.41,0.46,0.51", "30"),
+     "69e0ff718658db27938304fb0287b9b0b21cca49b6e9a810ba432b2b6297521a",
+     "a61de8a5a41af20c1a52c2c2e2cd1e4687c320eaa9f4ea384d1c0ab201fce7da"),
+    (("diamond", "22", "0.4,0.45,0.5", "30"),
+     "266f5cdf2daa4b51e57f8e08b2c0e9658ea1efa548d11020b8be3f5fa56e441c",
+     "aac224c2a9a3afb0823f0efb6c677cc7f8feee850cbe0252c431437d1cc199a2"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, weights_sha", SWEEP_SHA256, ids=[a[0] for a, _, _ in SWEEP_SHA256])
+def test_sweep_outputs_are_pinned(tmp_path, capsys, argv, stdout_sha, weights_sha):
+    pattern, n, grid, trials = argv
+    weights = tmp_path / "weights.json"
+    code, out, _ = run(capsys, "simulate", "--json", "--seed", "1", "--pattern", pattern, "--n", n,
+                       "--c", grid, "--trials", trials, "--record-weights", str(weights))
+    assert code == 0
+    assert sha256(out) == stdout_sha
+    assert hashlib.sha256(weights.read_bytes()).hexdigest() == weights_sha
 
 
 def test_simulate_grid_validation(capsys):

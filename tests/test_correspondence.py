@@ -7,9 +7,9 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from copy_oracle import brute_images
+from copy_oracle import brute_images, dense_copy_blocks
 from randposet.correspondence import (
     CopyMap,
     Partition,
@@ -457,6 +457,59 @@ def test_orbit_conditions_meet_each_copy_once(case, induced):
                 assert len(orbit & met) == 1
                 seen |= orbit
         assert sorted({tuple(sorted(r)) for r in rows}) == images
+
+
+@st.composite
+def wide_words_and_pattern(draw):
+    """Distinct random words spanning many packed columns, and a pattern.
+
+    65 to 3,000 distinct words of 20 to 62 bits, in random order, so a
+    partial copy's candidates span up to 47 packed 64-bit words; a pattern
+    on at most 5 elements. With k >= 2 minimal elements and a relation (a
+    near-antichain), a search over sparse words can place all size^k tuples
+    of minima before one fails, so such patterns get at most 150 words for
+    k = 2 and 65 for k = 3, and are left out for k >= 4.
+    """
+    n = draw(st.integers(1, 5))
+    labels = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8))
+    pattern = Poset(n, [(labels[a], labels[b]) for a, b in pairs if a < b < n])
+    minima = len(pattern.minimal_elements())
+    assume(minima < 4 or not pattern.relation_count())
+    most = 3000 if minima == 1 or not pattern.relation_count() else 150 if minima == 2 else 65
+    size, bits = draw(st.integers(65, most)), draw(st.integers(20, 62))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = np.unique(rng.integers(0, 1 << bits, 2 * size, dtype=np.uint64))[:size]
+    return rng.permutation(words), pattern
+
+
+def _first_rows(blocks, limit=20_000):
+    """The first ``limit`` rows a copy search yields, as one array (or None)."""
+    rows, held = [], 0
+    for block in blocks:
+        rows.append(block)
+        held += len(block)
+        if held >= limit:
+            break
+    blocks.close()
+    return np.concatenate(rows)[:limit] if rows else None
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_words_and_pattern(), st.booleans(), st.booleans())
+@example((np.random.default_rng(0).permutation(np.arange(3000, dtype=np.uint64) << 20), Poset(3)), False, False)
+def test_copy_blocks_match_the_dense_search(case, induced, symmetric):
+    # The packed kernel against the dense-mask search it replaced, row for
+    # row, on hosts where each partial copy's candidates span many columns.
+    # The example's blocks hold far more than _COPY_HITS candidates.
+    words, pattern = case
+    before = _orbit_conditions(pattern) if symmetric else ()
+    packed = _first_rows(copy_blocks(words, pattern, induced, before))
+    dense = _first_rows(dense_copy_blocks(words, pattern, induced, before))
+    if dense is None:
+        assert packed is None
+    else:
+        assert packed.dtype == dense.dtype and np.array_equal(packed, dense)
 
 
 def test_count_copies_rejects_bad_mode():
