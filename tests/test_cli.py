@@ -342,6 +342,112 @@ def test_ramsey_bounds_reject_a_host_that_does_not_arrow(capsys):
     assert any("does not arrow the pair" in note for note in record["notes"])
 
 
+# Exit code and sha256 of the text and of the --json stdout of `ramsey-bounds`
+# for each argument set: lexicographic products, towers, chain pigeonholes,
+# every `_KNOWN_HOSTS` row up to colour swap and reversal, products past the
+# size cap, and supplied hosts that arrow the pair or do not.
+RAMSEY_BOUNDS_SHA256 = [
+    ("--p v --q v",
+     "22cb12645c839060bd4a5e14c8d3d53e3c9ff6ed92de5076ceff9484343ecd44",
+     "a3b21f9b3d165b4e5bc04da76c7884493c9c01f4e88426a9460edfb83cdad619"),
+    ("--p chain:2 --q v",
+     "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
+     "39efcc1c19b3105276ede6e0978c031e64a405d982d05662a826a1956571e02a"),
+    ("--p v --q chain:2",
+     "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
+     "a9d275ba9066b35ed5996abfa8eb25f4bff99c176a27589a4189acaca19a1344"),
+    ("--p lambda --q v",
+     "58bcd4c08d6a54e2504e3771443d8ed8a3a59984ef5c948c4c56655ef75a8275",
+     "b4eac591f25ed8f16c726f3967d949ff00b959ef645f0cef3e0844f639666580"),
+    ("--p chain:3 --q v",
+     "dc6856c45ee530ba3abb52b6239f8c28595fd4c563f401fc9cdb38dc8c87b9e2",
+     "ed856339255dd4412e8daa8718da9289c1b6c7189cce3ff1e117484fa1f5b8e4"),
+    ("--p diamond --q chain:2",
+     "37f6cc1b8ee3d709cf41c1246a1d395664ede9b80d7bd931cd2477a677b1a8a4",
+     "4f8170d95196bb315404c9b583403c94bbf0844e816ae259d859583f9c512a17"),
+    ("--p diamond --q diamond",
+     "434560102bd0b1f405625660a576ab676d7cd082a886cdfa904b7613613e3ce0",
+     "563cf74a0b38a0c682ea877229d6b4af7fd833ea09ffa684f949436db7fe753c"),
+    ("--p v,lambda --q v,lambda",
+     "0e93f5e636a913536f3247a02f4787de8f8361de2a0847742b3145c2e60aad97",
+     "6a02e49f2a35c24e2c736ff2d7d8edba1cbc00585b6a62fe92704382d6361765"),
+    ("--p v,lambda --q chain:2",
+     "a24c1178fb7eacc1c2a6baa16ea1fa0ef7d23d906c7eaece4691ba086bfc5eeb",
+     "b253b4e0ae30333b5177baf4d60a879e662c7c784ce73ac5b7be00d07b155155"),
+    ("--p chain:2 --q chain:3",
+     "97e27388e54e2e099a12414fbccd93d942fb61506c706b1a98cf296e548bd8a1",
+     "a12d56caefd7ad75e708c94610adbd7f56bc43e28c34a5cd40a2d24d0ebbf412"),
+    ("--p chain:2 --q chain:2",
+     "f5fec96ed401474602261568f50d9da5c1863d57570f4cc67c5beefa6fc83589",
+     "388cdee103fd1d023bfad6da38a020b49a66f7e1b97f64a664d3b2d535ed2ceb"),
+    ("--p chain:2 --q y",
+     "fdaf7afa86a8acbadc5f64315a3eacdaef4a0c318f5c07b919660600690294ed",
+     "ac2f36dbf01f6cbdc46df9dcd7e31166e7ab2293c8421c7f6fd31d9de3ddcb34"),
+    ("--p chain:2 --q lambda",
+     "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
+     "39efcc1c19b3105276ede6e0978c031e64a405d982d05662a826a1956571e02a"),
+    ("--p boolean:2 --q boolean:2",
+     "434560102bd0b1f405625660a576ab676d7cd082a886cdfa904b7613613e3ce0",
+     "563cf74a0b38a0c682ea877229d6b4af7fd833ea09ffa684f949436db7fe753c"),
+    ("--p y --q y",
+     "3dec91ce86258d122651ceca1fa50660c45cdf75e886fd90764eda66332acb7d",
+     "1aaceeae8c112532ecbfbda64daee5253d0eb9eb183e722c732ff27134cf05d9"),
+    ("--p chain:4 --q chain:4",
+     "fb74b59e7d388b979aa0ce2dca9f9277398fd23edb2c69aa26cbffc9ddf30dc0",
+     "377a808bbd14b73295817e94942ce1bdf67623d979c9a0ae7e16b1fbb3d486be"),
+    ("--p layered:2,2 --q v",
+     "30748f0e11c0b6395e8f957f53f42c7510c7fcfee4b8e9e03cc0e93ab42d513e",
+     "fbb0cd2d141cfe094ef857b2cafa37fbe0c587c8be54d14d68cc9b603edb8f30"),
+    ("--p fish --q chain:2",
+     "6dae18da40410a8e1e4e57761335c46149a0b5ec3775c419996de53952f7d9b5",
+     "477f8c37009b2ac91d9b4791b763abd02499a79e936211e1c82f43a8d3a97955"),
+    ("--p t2 --q v",
+     "3dec91ce86258d122651ceca1fa50660c45cdf75e886fd90764eda66332acb7d",
+     "30f7d6f9290c2c4e709dcceefa0cb395a7f595de443c0397f8a290ea1a6a9bc5"),
+    ("--p chain:2 --q antichain:2",
+     "76db01718c2109f086ba6b014b02338565c6a741c15404e25b98f5c0f4ebd6f3",
+     "2a22227083dd413a3e40bfa2689500b13b3c3ddd113f7957cc77d80e1e86319f"),
+    ("--p layered:1,3,1 --q layered:1,3,1",
+     "d3967e21341ecc2a6dddaa87d75701969050524cfcc5d5d5bb1ee4fdab2429c9",
+     "505f32aae7935a95f3d876f9c9c021dd1d423cdf22ee56f00e8ba893029a0d30"),
+    ("--p y' --q y'",
+     "3dec91ce86258d122651ceca1fa50660c45cdf75e886fd90764eda66332acb7d",
+     "74fd48b507edfc5914375037d8aff74cf88af1c1b2bdc4b2111cf8814c7cdeba"),
+    ("--p dd --q chain:2",
+     "59fd1e6f25f2eb4e1dc5874a48e8860b6d482b83a3fb29f7fab438c8096c1b7f",
+     "b69f9f647e4548439b782bd6dcde5ef3e2266ba4a35be817ad31383e0f9abd18"),
+    ("--p antichain:2 --q antichain:2",
+     "4342d6b6a1efacae3a53b903f5187ab6a51352ff92680822ad90c3f1e8d441c2",
+     "f67a8c5c681515146fb29f4249339aabfda79d8c641b5e09a0a3c75c8e1c6f59"),
+    ("--p chain:5 --q chain:3",
+     "fb74b59e7d388b979aa0ce2dca9f9277398fd23edb2c69aa26cbffc9ddf30dc0",
+     "5b6fc5d6a7c9538561eb4fdda5ce13fe2792045876cb731e4585c3e2b6fa59aa"),
+    ("--p v --q lambda",
+     "58bcd4c08d6a54e2504e3771443d8ed8a3a59984ef5c948c4c56655ef75a8275",
+     "b4eac591f25ed8f16c726f3967d949ff00b959ef645f0cef3e0844f639666580"),
+    ("--p chain:2 --q y --h-poset y''",
+     "4a000b27657458bc15eb73841dcdce8a68063d781fbdae4fd20c452727d1a531",
+     "7051e69fc4c3909b53d599e4cf7c9a00dcf319021fa57764e2cc5110751753e6"),
+    ("--p diamond --q diamond --h-poset dd",
+     "7a6bdc59979d273d9623f2674c4517647cddac21b2ace76e98b323b07ffc03d8",
+     "0bb600d2e3a5faff76540d73b2a34ce1e63989c1983d8d33b8c0b54d7a8309f5"),
+    ("--p v --q v --h-poset t2",
+     "22cb12645c839060bd4a5e14c8d3d53e3c9ff6ed92de5076ceff9484343ecd44",
+     "a3b21f9b3d165b4e5bc04da76c7884493c9c01f4e88426a9460edfb83cdad619"),
+    ("--p chain:2 --q v --h-poset y'",
+     "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
+     "39efcc1c19b3105276ede6e0978c031e64a405d982d05662a826a1956571e02a"),
+]
+
+
+@pytest.mark.parametrize("argv, text_sha, json_sha", RAMSEY_BOUNDS_SHA256, ids=[a for a, _, _ in RAMSEY_BOUNDS_SHA256])
+def test_ramsey_bounds_stdout_is_pinned(capsys, argv, text_sha, json_sha):
+    for extra, digest in (((), text_sha), (("--json",), json_sha)):
+        code, out, _ = run(capsys, "ramsey-bounds", *argv.split(), *extra)
+        assert code == 0
+        assert sha256(out) == digest
+
+
 def test_arrows_command(capsys):
     code, out, _ = run(capsys, "arrows", "--host", "boolean:2", "--p", "chain:2", "--q", "chain:2")
     assert code == 0
