@@ -729,20 +729,19 @@ def _pair_variants(firsts, seconds):
 def exponent_bounds(first, second, h_poset=None):
     """Best known bracket for the Ramsey threshold exponents of a pair.
 
-    For single patterns the lexicographic product host gives a lower bound,
-    the tower colouring an upper bound, and two chains of lengths s and t the
-    exact value c*(chain(s + t - 1)) by pigeonhole. Single patterns and
-    families alike then take their row of ``_KNOWN_HOSTS``, and a supplied
-    ``h_poset`` is one more lower-bound host once ``arrows`` confirms that
-    it arrows the pair; otherwise a note names the colouring that avoids
-    both. Each bound carries a provenance string.
+    Each bound is c* of a candidate poset with its ends: "lower" for a host
+    that arrows the pair, "upper" for a colouring that avoids it, "exact"
+    for both. In tie order: the lexicographic product host and the first
+    defined tower colouring (single patterns), that tower again as the exact
+    chain(s + t - 1) for two chains (pigeonhole), the pair's row of
+    ``_KNOWN_HOSTS``, and ``h_poset`` once ``arrows`` confirms that it arrows
+    the pair (else a note names the colouring that avoids both). A candidate
+    too large for c*, or whose c* stops unconverged, leaves a note. Ends
+    within 1e-9 give the exact value, their midpoint.
     """
     firsts = _family(first)
     seconds = _family(second)
-    lower_cands = []
-    upper_cands = []
     notes = []
-    exact = None
     if h_poset is not None:
         arrowing, witness = arrows(h_poset, firsts, seconds)
         if not arrowing:
@@ -754,60 +753,55 @@ def exponent_bounds(first, second, h_poset=None):
             return "poset(n=%d)" % patterns[0].n
         return "family(%s)" % ",".join("n=%d" % p.n for p in patterns)
 
+    # (poset, ends, source) in tie order; a candidate without a poset is a note.
+    candidates = []
     if len(firsts) == 1 and len(seconds) == 1:
         p, q = firsts[0], seconds[0]
-        if p.n * q.n <= threshold.DEFAULT_SIZE_CAP:
-            rep = threshold.c_star(lex_product(p, q), name="lex-product host")
-            lower_cands.append((rep.value, "lexicographic product host"))
+        # The product costs (p.n * q.n)^2 bits to build: ask whether c* takes it first.
+        if threshold.fits(p.n * q.n):
+            candidates.append((lex_product(p, q), "lower", "lexicographic product host"))
         else:
-            notes.append("lexicographic product too large for the exponent cap")
-        for a, b in ((p, q), (q, p)):
-            if len(a.maximal_elements()) == 1 and len(b.minimal_elements()) == 1:
-                tower_value = threshold.c_star(tower(a, b), name="tower colouring").value
-                upper_cands.append((tower_value, "tower colouring"))
-                break
+            candidates.append((None, None, "lexicographic product too large for the exponent cap"))
+        colouring = next((tower(a, b) for a, b in ((p, q), (q, p))
+                          if len(a.maximal_elements()) == 1 and len(b.minimal_elements()) == 1), None)
+        if colouring is None:
+            candidates.append((None, None, "tower undefined (no unique max/min pairing)"))
         else:
-            notes.append("tower undefined (no unique max/min pairing)")
+            candidates.append((colouring, "upper", "tower colouring"))
         if _chain_length(p) and _chain_length(q):
-            exact = tower_value  # the tower of two chains is chain(s + t - 1)
-            lower_cands.append((exact, "chain pigeonhole (exact)"))
-            upper_cands.append((exact, "chain pigeonhole (exact)"))
-
+            # The tower of two chains is chain(s + t - 1).
+            candidates.append((colouring, "exact", "chain pigeonhole (exact)"))
     for side1, side2, spelling, source, ends in _KNOWN_HOSTS:
-        if not any(_is_side(a, side1) and _is_side(b, side2) for a, b in _pair_variants(firsts, seconds)):
-            continue
-        if spelling is None:
-            if h_poset is None:
-                notes.append(source)
+        if any(_is_side(a, side1) and _is_side(b, side2) for a, b in _pair_variants(firsts, seconds)):
+            if spelling is not None or h_poset is None:
+                candidates.append((catalog(spelling) if spelling else None, ends, source))
             break
-        value = threshold.c_star(catalog(spelling), name=spelling).value
-        if ends != "upper":
-            lower_cands.append((value, source))
-        if ends != "lower":
-            upper_cands.append((value, source))
-        if ends == "exact":
-            exact = value
-        break
     if h_poset is not None:
-        lower_cands.append((threshold.c_star(h_poset, name="user host").value, "user-supplied host"))
+        candidates.append((h_poset, "lower", "user-supplied host"))
+
+    lower_cands, upper_cands = [], []
+    for poset, ends, source in candidates:
+        if poset is None:
+            notes.append(source)
+            continue
+        try:
+            rep = threshold.c_star(poset, name=source)
+        except CapacityError:
+            notes.append("%s too large for the exponent cap" % source)
+            continue
+        if not rep.converged:
+            notes.append("%s unconverged: c* bracket width %.3e" % (source, rep.upper_bound - rep.lower_bound))
+        if ends != "upper":
+            lower_cands.append((rep.value, source))
+        if ends != "lower":
+            upper_cands.append((rep.value, source))
 
     report = RamseyBoundsReport(pair=(pname(firsts), pname(seconds)), notes=notes)
-    if lower_cands:
-        report.lower, report.lower_source = max(lower_cands, key=lambda t: t[0])
-    if upper_cands:
-        report.upper, report.upper_source = min(upper_cands, key=lambda t: t[0])
-    if exact is not None:
-        report.exact = exact
-    elif (
-        report.lower is not None
-        and report.upper is not None
-        and abs(report.upper - report.lower) <= 1e-9
-    ):
-        report.exact = (report.lower + report.upper) / 2.0
-    if (
-        report.lower is not None
-        and report.upper is not None
-        and report.lower > report.upper + 1e-9
-    ):
-        report.notes.append("bound sources disagree beyond tolerance (kept verbatim)")
+    report.lower, report.lower_source = max(lower_cands, key=lambda t: t[0], default=(None, ""))
+    report.upper, report.upper_source = min(upper_cands, key=lambda t: t[0], default=(None, ""))
+    if report.lower is not None and report.upper is not None:
+        if abs(report.upper - report.lower) <= 1e-9:
+            report.exact = (report.lower + report.upper) / 2.0
+        if report.lower > report.upper + 1e-9:
+            report.notes.append("bound sources disagree beyond tolerance (kept verbatim)")
     return report

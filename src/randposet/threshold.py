@@ -655,6 +655,11 @@ def _classify(poset, table, vals, sol, bvals, error):
     return Classification("General", violations, details)
 
 
+def fits(n):
+    """True when ``c_star`` takes a poset of n elements."""
+    return n <= DEFAULT_SIZE_CAP
+
+
 def c_star(poset, tol=1e-6, max_iter=6000, name=None):
     """Certified max-min containment exponent of a poset.
 
@@ -682,7 +687,7 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
         raise PosetError("tolerance must be a number >= 0, got %r" % (tol,))
     if not max_iter >= 0:
         raise PosetError("max_iter must be an integer >= 0, got %r" % (max_iter,))
-    if poset.n > DEFAULT_SIZE_CAP:
+    if not fits(poset.n):
         raise CapacityError(
             "poset has %d elements, above the subposet-scan cap %d" % (poset.n, DEFAULT_SIZE_CAP)
         )

@@ -342,6 +342,17 @@ def test_ramsey_bounds_reject_a_host_that_does_not_arrow(capsys):
     assert any("does not arrow the pair" in note for note in record["notes"])
 
 
+def test_ramsey_bounds_host_above_the_exponent_cap_leaves_a_note(capsys):
+    # chain:15 arrows (C2, C2) but has more elements than c* takes.
+    code, out, _ = run(capsys, "ramsey-bounds", "--p", "chain:2", "--q", "chain:2", "--h-poset", "chain:15")
+    assert code == 0
+    assert out.splitlines() == [
+        "exact 0.4620981204",
+        "lower 0.4620981204 (chain pigeonhole (exact))",
+        "upper 0.4620981204 (tower colouring)",
+        "note: user-supplied host too large for the exponent cap",
+    ]
+
 # Exit code and sha256 of the text and of the --json stdout of `ramsey-bounds`
 # for each argument set: lexicographic products, towers, chain pigeonholes,
 # every `_KNOWN_HOSTS` row up to colour swap and reversal, products past the

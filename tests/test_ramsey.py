@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from copy_oracle import brute_images
 from randposet.posets import (
     CapacityError,
+    Poset,
     PosetError,
     antichain_poset,
     boolean_lattice,
@@ -720,3 +721,44 @@ def test_bounds_generic_lex_and_tower():
     json = rep.to_json_dict()
     assert set(json) == {"pair", "lower", "lower_source", "upper", "upper_source",
                          "exact", "notes"}
+
+
+@pytest.mark.parametrize("row", [row for row in _KNOWN_HOSTS if row[2] and row[4] != "upper"],
+                         ids=lambda row: row[2])
+def test_known_hosts_arrow_their_pairs(row):
+    # A host's c* is a lower bound only because it arrows the pair; so does
+    # its order dual for the reversed pair, which the table matches too.
+    first, second, spelling, _, _ = row
+    host = catalog(spelling)
+    p, q = _pattern_arg(first, False), _pattern_arg(second, False)
+    assert arrows(host, p, q)[0] and arrows(host, q, p)[0]
+    assert arrows(reverse(host), _pattern_arg(first, True), _pattern_arg(second, True))[0]
+
+
+def test_bound_candidates_above_the_exponent_cap_leave_notes():
+    rep = exponent_bounds(chain(8), chain(8))
+    assert rep.lower is None and rep.upper is None and rep.exact is None
+    assert rep.notes == [
+        "lexicographic product too large for the exponent cap",
+        "tower colouring too large for the exponent cap",
+        "chain pigeonhole (exact) too large for the exponent cap",
+    ]
+    # The 16,384-element product of two 7-cubes is refused before it is built
+    # (building it takes about 45 s).
+    rep = exponent_bounds(boolean_lattice(7), boolean_lattice(7))
+    assert rep.notes == [
+        "lexicographic product too large for the exponent cap",
+        "tower colouring too large for the exponent cap",
+    ]
+
+
+def test_an_unconverged_host_leaves_a_note():
+    # c* of this host stops at its iteration cap with bracket width 1.9e-4.
+    host = Poset(9, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 7), (1, 8), (2, 4), (2, 6),
+                     (3, 7), (5, 6), (5, 7), (6, 8)])
+    rep = exponent_bounds(chain(2), chain(2), h_poset=host)
+    plain = exponent_bounds(chain(2), chain(2))
+    assert (rep.lower, rep.upper, rep.exact) == (plain.lower, plain.upper, plain.exact)
+    assert plain.notes == []
+    assert len(rep.notes) == 1
+    assert rep.notes[0].startswith("user-supplied host unconverged: c* bracket width 1.9")
