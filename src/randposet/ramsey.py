@@ -4,12 +4,12 @@ A host poset arrows a pattern pair when every red/blue colouring of its
 elements leaves a red copy of the first pattern or a blue copy of the
 second (weak subposet copies by default). Each arrow question becomes a CNF
 over one variable per host element, one clause per copy that
-posets.copy_blocks finds among the host's down-set masks, solved by
-an embedded CDCL solver. Avoidance in subset lattices is encoded the same
-way. The copy search meets one map per orbit of the pattern's
-automorphisms, not one per automorphism: order conditions from the
-stabiliser chain of the group pick it, and numpy drops the image sets that
-weak copies still repeat.
+posets.copy_blocks finds among the host's down-set masks, solved by an
+embedded CDCL solver that propagates on clause bitmasks in numpy.
+Avoidance in subset lattices is encoded the same way. The copy search
+meets one map per orbit of the pattern's automorphisms, not one per
+automorphism: order conditions from the stabiliser chain of the group pick
+it, and numpy drops the image sets that weak copies still repeat.
 
 Ramsey threshold exponents are bracketed by c* values: a host that arrows
 the pair gives a lower bound, a colouring of the random poset that avoids it
@@ -496,12 +496,15 @@ def _luby(i):
 def solve_cnf(cnf, time_budget=None):
     """Embedded CDCL solver (Een & Sorensson, SAT 2003), fully deterministic.
 
-    Two watched literals, 1-UIP learning with non-chronological backjumps,
-    VSIDS on a heap (ties to the lowest variable) with phase saving (True
-    first), and restarts after 100 times the Luby sequence of conflicts. A
-    time budget (seconds, None for none) is checked only when a decision is
-    due: expiry returns "unknown", and 0 leaves only the initial propagation.
-    A satisfying assignment is verified against every clause.
+    Clauses are columns of bitmask words; when a literal becomes false, one
+    numpy pass over its clauses (occurrence lists, as in GRASP) and the
+    learnt ones finds the units and conflicts. 1-UIP learning with
+    non-chronological backjumps, VSIDS on a heap (ties to the lowest
+    variable) with phase saving (True first), and restarts after 100 times
+    the Luby sequence of conflicts. A time budget (seconds, None for none) is
+    checked only when a decision is due: expiry returns "unknown", and 0
+    leaves only the initial propagation. A satisfying assignment is verified
+    against every clause.
     """
     if time_budget is not None and not time_budget >= 0:
         raise PosetError("time budget must be a number >= 0, got %r" % (time_budget,))
@@ -510,29 +513,31 @@ def solve_cnf(cnf, time_budget=None):
     bad = (lits == 0) | (lits < -nv) | (lits > nv)
     if bad.any():
         raise PosetError("literal %d out of range" % lits[bad.argmax()])
-    # Only a clause whose variables fail to rise somewhere can name one twice.
-    # Such a clause keeps the first of each repeated literal, in place, and is
-    # skipped when it is a tautology.
-    var = np.abs(lits)
-    fall = np.flatnonzero(var[1:] <= var[:-1]) + 1
-    suspects = set((np.searchsorted(offsets, fall[~np.isin(fall, offsets)], side="right") - 1).tolist())
-    # Literals index one shared int object per value, not one object per occurrence.
-    flat = np.array(range(-nv, nv + 1), dtype=object)[lits + nv].tolist()
-    clauses = [flat[a:b] for a, b in itertools.pairwise(offsets.tolist())]
-    del var, fall, flat
-    tautologies = set()
-    for i in suspects:
-        c = clauses[i] = list(dict.fromkeys(clauses[i]))
-        if len(set(map(abs, c))) < len(c):
-            tautologies.add(i)
-    if tautologies:
-        clauses = [c for i, c in enumerate(clauses) if i not in tautologies]
+    m, width = len(offsets) - 1, max(1, -(-nv // 64))
+    if (2 * nv + 1) * m >= 1 << 31:  # int32 keys, and masks below 256 MiB beyond 16 bytes a clause
+        raise CapacityError("%d clauses over %d variables: too many for the solver" % (m, nv))
+    # One sort of (literal, clause) keys: l's clauses, in order, are occ[cuts[l + nv]:cuts[l + nv + 1]].
+    occ = np.repeat(np.arange(m, dtype=np.int32), np.diff(offsets))
+    occ += (lits + nv) * np.int32(m)
+    occ.sort()
+    cuts = np.searchsorted(occ, np.arange(2 * nv + 2, dtype=np.int32) * np.int32(m)).tolist()
+    occ %= m
+    # Clause c is column c of masks, where literal l is bit b of word w for (w, b) = place[l]
+    # (a negative l wraps, as in value): +v is bit v - 1 of the first width words, -v of the others.
+    place = [(i >> 6, 1 << (i & 63)) for i in [*range(-1, nv), *range(64 * width + nv - 1, 64 * width - 1, -1)]]
+    masks, learnt_masks = np.zeros((2 * width, m), dtype=np.uint64), np.zeros((2 * width, 0), dtype=np.uint64)
+    for l in range(-nv, nv + 1):
+        masks[place[l][0], occ[cuts[l + nv] : cuts[l + nv + 1]]] |= place[l][1]
+    # The words of the literals not false, then of the true ones; assigning l toggles the bits flips[l].
+    state = np.repeat(np.array([2**64 - 1, 0], dtype=np.uint64), 2 * width).reshape(2, 2 * width, 1)
+    words = memoryview(state).cast("B").cast("Q")
+    flips = [(place[-l], (2 * width + place[l][0], place[l][1])) for l in [*range(nv + 1), *range(-nv, 0)]]
+    count = np.uint8 if nv < 128 else np.int32  # a clause's bit count is at most 2 * nv
     stats = dict(decisions=0, conflicts=0, propagations=0, restarts=0, learnt=0)
     learnts = []
     # Lists indexed by a signed literal l; a negative l wraps to the upper half.
     value = [0] * (2 * nv + 1)  # 1 true, -1 false, 0 free
-    watches = [[] for _ in value]  # clauses with l in position 0 or 1
-    level, reason = [0] * (nv + 1), [None] * (nv + 1)
+    level, reason = [0] * (nv + 1), [None] * (nv + 1)  # reason: a clause id, learnt ones from m on
     act, phase = [0.0] * (nv + 1), [True] * (nv + 1)
     heap = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, variable), stale entries skipped
     trail, trail_lim = [], []
@@ -542,35 +547,30 @@ def solve_cnf(cnf, time_budget=None):
         value[lit], value[-lit] = 1, -1
         level[abs(lit)], reason[abs(lit)] = len(trail_lim), why
         trail.append(lit)
+        for w, b in flips[lit]:
+            words[w] ^= b
 
-    def propagate():
-        """Unit propagation from qhead; returns a falsified clause or None."""
+    def propagate(ids=None):
+        """Unit propagation over the clauses ids, if given, then over those of
+        each literal falsified from qhead on; returns a falsified clause or None."""
         nonlocal qhead
-        while qhead < len(trail):
-            false_lit = -trail[qhead]
-            qhead += 1
-            stats["propagations"] += 1
-            ws = watches[false_lit]
-            watches[false_lit] = kept = []
-            for pos, c in enumerate(ws):
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], false_lit
-                first = c[0]
-                if value[first] == 1:
-                    kept.append(c)
-                    continue
-                for k in range(2, len(c)):
-                    lit = c[k]
-                    if value[lit] != -1:
-                        c[1], c[k] = lit, false_lit
-                        watches[lit].append(c)
-                        break
-                else:
-                    kept.append(c)
-                    if value[first] == -1:
-                        kept.extend(ws[pos + 1 :])
-                        return c
-                    assign(first, c)
+        while ids is not None or qhead < len(trail):
+            if ids is None:  # the clauses of the next literal to become false
+                ids, qhead = occ[cuts[nv - trail[qhead]] : cuts[nv - trail[qhead] + 1]], qhead + 1
+                stats["propagations"] += 1
+            # A true literal counts twice, so a clause with under 2 bits is unit or falsified.
+            cols = np.concatenate((learnt_masks, masks.take(ids, axis=1)), axis=1) & state
+            pos = (np.add.reduce(np.bitwise_count(cols), axis=(0, 1), dtype=count) < 2).nonzero()[0]
+            data, k = cols[0].take(pos, axis=1).T.tobytes(), len(learnts)
+            for j, at in zip(pos.tolist(), range(0, len(data), 16 * width)):
+                b = int.from_bytes(data[at : at + 16 * width], "little").bit_length()
+                c, lit = m + j if j < k else int(ids[j - k]), b if b <= 64 * width else 64 * width - b
+                # Units assigned since the pass may have made lit true or false.
+                if not b or value[lit] == -1:
+                    return c
+                if not value[lit]:
+                    assign(lit, c)
+            ids = None
         return None
 
     def cancel(lvl):
@@ -581,19 +581,14 @@ def solve_cnf(cnf, time_budget=None):
                 value[lit] = value[-lit] = 0
                 phase[abs(lit)] = lit > 0
                 heapq.heappush(heap, (-act[abs(lit)], abs(lit)))
+                for w, b in flips[lit]:
+                    words[w] ^= b
             del trail[trail_lim[lvl] :], trail_lim[lvl:]
         qhead = len(trail)
 
-    for c in clauses:
-        if len(c) > 1:
-            watches[c[0]].append(c)
-            watches[c[1]].append(c)
-        elif not c or value[c[0]] == -1:
-            return SatResult("unsat", stats=stats, learnt=learnts)
-        elif not value[c[0]]:
-            assign(c[0], None)
+    ids = (np.add.reduce(np.bitwise_count(masks), axis=0, dtype=count) < 2).nonzero()[0]  # units, empty clauses
     while True:
-        confl = propagate()
+        confl, ids = propagate(ids), None
         if confl is not None:
             stats["conflicts"] += 1
             if not trail_lim:
@@ -601,7 +596,7 @@ def solve_cnf(cnf, time_budget=None):
             # 1-UIP: resolve along the trail until one literal of this level is left.
             learnt, seen, pending, idx = [0], set(), 0, len(trail)
             while True:
-                for q in confl:
+                for q in learnts[confl - m] if confl >= m else lits[offsets[confl] : offsets[confl + 1]].tolist():
                     v = abs(q)
                     if v not in seen and level[v]:
                         seen.add(v)
@@ -620,11 +615,11 @@ def solve_cnf(cnf, time_budget=None):
             learnt[0] = -trail[idx]
             learnt[1:] = sorted(learnt[1:], key=lambda q: -level[abs(q)])
             cancel(level[abs(learnt[1])] if len(learnt) > 1 else 0)
-            if len(learnt) > 1:
-                watches[learnt[0]].append(learnt)
-                watches[learnt[1]].append(learnt)
-            assign(learnt[0], learnt)
+            learnt_masks = np.append(learnt_masks, np.zeros((2 * width, 1), dtype=np.uint64), axis=1)
+            for q in learnt:
+                learnt_masks[place[q][0], -1] |= place[q][1]
             learnts.append(learnt)
+            assign(learnt[0], m + len(learnts) - 1)
             stats["learnt"] += 1
             inc /= 0.95
             continue
@@ -647,8 +642,8 @@ def solve_cnf(cnf, time_budget=None):
         trail_lim.append(len(trail))
         assign(v if phase[v] else -v, None)
 
-    truth = np.array(value[: nv + 1]) == 1
-    if not np.logical_or.reduceat(truth[np.abs(lits)] == (lits > 0), offsets[:-1]).all():
+    truth = np.array(value) == 1  # indexed as value; int32 indices are not copied to int64
+    if not np.logical_or.reduceat(truth[lits], offsets[:-1]).all():
         raise PosetError("internal error: solver produced a non-satisfying assignment")
     assignment = {v: value[v] == 1 for v in range(1, nv + 1)}
     return SatResult("sat", assignment, stats)
@@ -735,17 +730,21 @@ def exponent_bounds(first, second, h_poset=None):
     defined tower colouring (single patterns), that tower again as the exact
     chain(s + t - 1) for two chains (pigeonhole), the pair's row of
     ``_KNOWN_HOSTS``, and ``h_poset`` once ``arrows`` confirms that it arrows
-    the pair (else a note names the colouring that avoids both). A candidate
-    too large for c*, or whose c* stops unconverged, leaves a note. Ends
-    within 1e-9 give the exact value, their midpoint.
+    the pair (else a note names the avoiding colouring or the arrow cap). c*
+    runs once per distinct poset; one too large for it, or unconverged, leaves
+    a note. Ends within 1e-9 give the exact value, their midpoint.
     """
     firsts = _family(first)
     seconds = _family(second)
     notes = []
     if h_poset is not None:
-        arrowing, witness = arrows(h_poset, firsts, seconds)
+        try:
+            arrowing, witness = arrows(h_poset, firsts, seconds)
+            rejection = "does not arrow the pair: colouring %s avoids both" % (witness,)
+        except CapacityError:
+            arrowing, rejection = False, "too large for the arrow cap"
         if not arrowing:
-            notes.append("user-supplied host does not arrow the pair: colouring %s avoids both" % (witness,))
+            notes.append("user-supplied host " + rejection)
             h_poset = None
 
     def pname(patterns):
@@ -779,13 +778,13 @@ def exponent_bounds(first, second, h_poset=None):
     if h_poset is not None:
         candidates.append((h_poset, "lower", "user-supplied host"))
 
-    lower_cands, upper_cands = [], []
+    lower_cands, upper_cands, reports = [], [], {}  # reports: c* of each distinct poset
     for poset, ends, source in candidates:
         if poset is None:
             notes.append(source)
             continue
         try:
-            rep = threshold.c_star(poset, name=source)
+            rep = reports[poset] = reports.get(poset) or threshold.c_star(poset, name=source)
         except CapacityError:
             notes.append("%s too large for the exponent cap" % source)
             continue

@@ -353,6 +353,18 @@ def test_ramsey_bounds_host_above_the_exponent_cap_leaves_a_note(capsys):
         "note: user-supplied host too large for the exponent cap",
     ]
 
+
+def test_ramsey_bounds_host_above_the_arrow_cap_leaves_a_note(capsys):
+    # chain:25 is past the 24-element cap of arrows, so it is never checked.
+    code, out, _ = run(capsys, "ramsey-bounds", "--p", "chain:2", "--q", "chain:2", "--h-poset", "chain:25")
+    assert code == 0
+    assert out.splitlines() == [
+        "exact 0.4620981204",
+        "lower 0.4620981204 (chain pigeonhole (exact))",
+        "upper 0.4620981204 (tower colouring)",
+        "note: user-supplied host too large for the arrow cap",
+    ]
+
 # Exit code and sha256 of the text and of the --json stdout of `ramsey-bounds`
 # for each argument set: lexicographic products, towers, chain pigeonholes,
 # every `_KNOWN_HOSTS` row up to colour swap and reversal, products past the
@@ -594,7 +606,7 @@ def test_sat_outputs_are_pinned(tmp_path, capsys):
     assert json.loads(err)["solver"] == dict(decisions=16, conflicts=0, propagations=32, restarts=0, learnt=0)
     code, out, err = run(capsys, "sat-solve", "--host", "boolean:6", "--pattern", "layered:2,1,2", "--stats")
     assert code == 0 and out == "UNSAT\n"
-    assert json.loads(err)["solver"] == dict(decisions=79, conflicts=72, propagations=283, restarts=0, learnt=71)
+    assert json.loads(err)["solver"] == dict(decisions=84, conflicts=74, propagations=266, restarts=0, learnt=73)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Unit tests for arrow search, copy enumeration, CNF export and bounds."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -526,6 +527,50 @@ def test_unsat_answers_are_rechecked_by_unit_propagation(case):
     check_refutation(cnf, res.learnt)
 
 
+def shifted(cnf, by, num_vars):
+    """The formula with every variable v renamed v + by, over num_vars variables."""
+    return CnfFormula.from_clauses(num_vars, [tuple(l + by if l > 0 else l - by for l in c) for c in cnf.clauses])
+
+
+@pytest.mark.parametrize("by, num_vars", [(60, 72), (124, 136)])
+def test_unsat_answers_with_masks_over_a_word_edge(by, num_vars):
+    # The pigeons' variables straddle bit 64 (or 128) of the solver's clause masks.
+    cnf = shifted(php_formula(4, 3), by, num_vars)
+    res = solve_cnf(cnf)
+    assert res.status == "unsat"
+    check_refutation(cnf, res.learnt)
+
+
+def test_solver_refuses_a_cnf_past_its_key_range():
+    # (2 * 2^15 + 1) * (2^15 + 1) literal-clause keys pass the int32 range of the occurrence sort.
+    with pytest.raises(CapacityError, match="too many for the solver"):
+        solve_cnf(CnfFormula.from_clauses(2**15, [(1,)] * (2**15 + 1)))
+
+
+def test_planted_3cnf_on_150_variables():
+    rng = random.Random(3)
+    planted = [rng.random() < 0.5 for _ in range(150)]
+    clauses = []
+    while len(clauses) < 600:
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 151), 3)]
+        if any(planted[abs(l) - 1] == (l > 0) for l in lits):
+            clauses.append(tuple(lits))
+    res = solve_cnf(CnfFormula.from_clauses(150, clauses))
+    assert res.status == "sat"
+    assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def test_chain_pigeonhole_restarts_and_rechecks_its_learnt_log(monkeypatch):
+    # Any 2-colouring of an 11-chain has 6 elements of one colour.
+    solved = []
+    monkeypatch.setattr(ramsey, "solve_cnf", lambda cnf: solved.append((cnf, solve_cnf(cnf))) or solved[-1][1])
+    assert arrows(chain(11), chain(6), chain(6)) == (True, None)
+    [(cnf, res)] = solved
+    assert cnf.num_clauses == 2 * 462
+    assert res.stats["restarts"] == 2 and res.stats["learnt"] == len(res.learnt) == 251
+    check_refutation(cnf, res.learnt)
+
+
 def test_refutation_checker_rejects_a_clause_that_does_not_follow():
     cnf = php_formula(4, 3)
     assert not propagates_to_conflict(literal_matrix(cnf.clauses), cnf.num_vars, [-1])
@@ -569,6 +614,25 @@ def test_solver_agrees_with_enumeration(cnf):
         assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in cnf.clauses)
 
 
+@st.composite
+def spread_cnfs(draw):
+    """A small_cnfs formula, and the same one with its variables renamed into 1..200."""
+    cnf = draw(small_cnfs())
+    names = draw(st.lists(st.integers(1, 200), min_size=cnf.num_vars, max_size=cnf.num_vars, unique=True))
+    rename = lambda l: names[l - 1] if l > 0 else -names[-l - 1]
+    return cnf, CnfFormula.from_clauses(200, [tuple(map(rename, c)) for c in cnf.clauses])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spread_cnfs())
+def test_solver_agrees_with_enumeration_over_wide_masks(pair):
+    cnf, spread = pair
+    res = solve_cnf(spread)
+    assert res.status == ("sat" if brute_sat(cnf) else "unsat")
+    if res.status == "sat":
+        assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in spread.clauses)
+
+
 @pytest.mark.parametrize("budget", [float("nan"), -1.0])
 def test_solver_rejects_a_bad_time_budget(budget):
     with pytest.raises(PosetError):
@@ -583,6 +647,15 @@ def test_bounds_for_chain_pairs_are_exact():
     assert rep.exact == pytest.approx(0.4620981204, abs=1e-7)
     assert rep.lower == rep.upper == rep.exact
     assert "exact" in rep.lower_source
+
+
+def test_bounds_compute_each_distinct_poset_once(monkeypatch):
+    # The tower of two 7-chains is also their pigeonhole host; the product is past the cap.
+    evaluated = []
+    monkeypatch.setattr(ramsey.threshold, "c_star", lambda poset, name: evaluated.append(poset) or c_star(poset))
+    rep = exponent_bounds(chain(7), chain(7))
+    assert evaluated == [chain(13)]
+    assert rep.exact == rep.lower == rep.upper == c_star(chain(13)).value
 
 
 def test_bounds_for_vee_pair_are_exact():
