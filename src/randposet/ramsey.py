@@ -493,12 +493,78 @@ def _luby(i):
         i -= (1 << (k - 1)) - 1
 
 
+# A pass over at most this many clauses reads their literals in Python, which
+# costs less than the fixed cost of the numpy calls at that size.
+_SHORT_PASS = 16
+# Literals per piece of the clause store built at once.
+_BUILD_LITS = 1 << 16
+
+
+def _occurrences(nv, lits, lengths):
+    """Each literal's clauses, in order: l's are occ[cuts[l + nv]:cuts[l + nv + 1]].
+
+    One sort of the keys (l + nv)·clauses + clause, in int32 unless they
+    pass its range.
+    """
+    m = len(lengths)
+    itype = np.int32 if (2 * nv + 1) * m < 1 << 31 else np.int64
+    occ = (lits + nv).astype(itype)
+    occ *= itype(m)
+    occ += np.repeat(np.arange(m, dtype=itype), lengths)
+    occ.sort()
+    cuts = np.searchsorted(occ, np.arange(2 * nv + 2, dtype=itype) * itype(m)).tolist()
+    occ %= itype(max(m, 1))
+    return occ.astype(np.int32, copy=False), cuts
+
+
+def _clause_entries(lits, offsets, lengths, width):
+    """A CNF's clauses as bitmask entries, one per 64-variable word a clause touches.
+
+    Entry e holds a clause's literals in the word ew[e]: epn[0, e] has the
+    bits of the positive ones, epn[1, e] those of the negative ones. Clause
+    c's entries are first[c]:first[c + 1], in word order. With one word
+    (width 1), entry c is clause c, and ew and first are None. The entries
+    are built in pieces of about _BUILD_LITS literals, each giving its
+    entries' positive bits, negative bits and words, and each clause's
+    entry count.
+    """
+    m = len(lengths)
+    parts, c = tuple([np.zeros(0, dtype=t)] for t in (np.uint64, np.uint64, np.int32, np.int64)), 0
+    while c < m:  # the clauses c:d
+        d = max(c + 1, int(np.searchsorted(offsets, offsets[c] + _BUILD_LITS, side="right")) - 1)
+        chunk = lits[offsets[c] : offsets[d]]
+        var, neg, starts = np.abs(chunk) - 1, chunk < 0, offsets[c:d] - offsets[c]
+        bits = np.left_shift(np.uint64(1), (var & 63).astype(np.uint64))
+        if width > 1:
+            key = np.repeat(np.arange(c, d, dtype=np.int64) * width, lengths[c:d]) + var // 64
+            order = np.argsort(key, kind="stable")
+            key, bits, neg = key[order], bits[order], neg[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            parts[2].append((key[starts] % width).astype(np.int32))
+            parts[3].append(np.bincount(key[starts] // width - c, minlength=d - c))
+        parts[0].append(np.bitwise_or.reduceat(np.where(neg, 0, bits), starts))
+        parts[1].append(np.bitwise_or.reduceat(bits * neg, starts))
+        c = d
+    epn = np.empty((2, sum(map(len, parts[0]))), dtype=np.uint64)
+    for i in range(2):
+        np.concatenate(parts[i], out=epn[i])
+        parts[i].clear()
+    if width == 1:
+        return epn, None, None
+    return epn, np.concatenate(parts[2]), np.concatenate(([0], np.cumsum(np.concatenate(parts[3]))))
+
+
 def solve_cnf(cnf, time_budget=None):
     """Embedded CDCL solver (Een & Sorensson, SAT 2003), fully deterministic.
 
-    Clauses are columns of bitmask words; when a literal becomes false, one
-    numpy pass over its clauses (occurrence lists, as in GRASP) and the
-    learnt ones finds the units and conflicts. 1-UIP learning with
+    A clause is stored as one bitmask entry per 64-variable word it touches:
+    the word, the bits of its positive literals there and those of its
+    negative ones, so the store grows with the literals, not the variables.
+    When a literal becomes false, one numpy pass over the clauses that hold
+    it (occurrence lists, as in GRASP) finds the units and conflicts; a pass
+    over a few clauses reads their literals in Python instead. Learnt
+    clauses stay Python lists with two watched literals (Chaff), so a
+    literal visits only the learnt clauses that watch it. 1-UIP learning with
     non-chronological backjumps, VSIDS on a heap (ties to the lowest
     variable) with phase saving (True first), and restarts after 100 times
     the Luby sequence of conflicts. A time budget (seconds, None for none) is
@@ -513,31 +579,27 @@ def solve_cnf(cnf, time_budget=None):
     bad = (lits == 0) | (lits < -nv) | (lits > nv)
     if bad.any():
         raise PosetError("literal %d out of range" % lits[bad.argmax()])
-    m, width = len(offsets) - 1, max(1, -(-nv // 64))
-    if (2 * nv + 1) * m >= 1 << 31:  # int32 keys, and masks below 256 MiB beyond 16 bytes a clause
-        raise CapacityError("%d clauses over %d variables: too many for the solver" % (m, nv))
-    # One sort of (literal, clause) keys: l's clauses, in order, are occ[cuts[l + nv]:cuts[l + nv + 1]].
-    occ = np.repeat(np.arange(m, dtype=np.int32), np.diff(offsets))
-    occ += (lits + nv) * np.int32(m)
-    occ.sort()
-    cuts = np.searchsorted(occ, np.arange(2 * nv + 2, dtype=np.int32) * np.int32(m)).tolist()
-    occ %= m
-    # Clause c is column c of masks, where literal l is bit b of word w for (w, b) = place[l]
-    # (a negative l wraps, as in value): +v is bit v - 1 of the first width words, -v of the others.
-    place = [(i >> 6, 1 << (i & 63)) for i in [*range(-1, nv), *range(64 * width + nv - 1, 64 * width - 1, -1)]]
-    masks, learnt_masks = np.zeros((2 * width, m), dtype=np.uint64), np.zeros((2 * width, 0), dtype=np.uint64)
-    for l in range(-nv, nv + 1):
-        masks[place[l][0], occ[cuts[l + nv] : cuts[l + nv + 1]]] |= place[l][1]
-    # The words of the literals not false, then of the true ones; assigning l toggles the bits flips[l].
-    state = np.repeat(np.array([2**64 - 1, 0], dtype=np.uint64), 2 * width).reshape(2, 2 * width, 1)
-    words = memoryview(state).cast("B").cast("Q")
-    flips = [(place[-l], (2 * width + place[l][0], place[l][1])) for l in [*range(nv + 1), *range(-nv, 0)]]
-    count = np.uint8 if nv < 128 else np.int32  # a clause's bit count is at most 2 * nv
+    m, width, lengths = len(offsets) - 1, max(1, -(-nv // 64)), np.diff(offsets)
     stats = dict(decisions=0, conflicts=0, propagations=0, restarts=0, learnt=0)
-    learnts = []
+    if not lengths.all():  # an empty clause is a conflict before any assignment
+        stats["conflicts"] = 1
+        return SatResult("unsat", stats=stats, learnt=[])
+    occ, cuts = _occurrences(nv, lits, lengths)
+    epn, ew, first = _clause_entries(lits, offsets, lengths, width)
+    # The bits of the literals not false, then of the true ones, each as words of the positive
+    # literals, then of the negative ones; assigning l toggles the bits flips[l].
+    state = np.zeros((2, 2, width), dtype=np.uint64)
+    state[0] = ~np.uint64(0)
+    words = memoryview(state).cast("B").cast("Q")
+    flips = [()] * (2 * nv + 1)
+    for v in range(1, nv + 1):
+        w, b = (v - 1) >> 6, 1 << ((v - 1) & 63)
+        flips[v], flips[-v] = ((width + w, b), (2 * width + w, b)), ((w, b), (3 * width + w, b))
+    learnts, lit_view, offset_view = [], memoryview(lits), memoryview(offsets)  # views index faster
     # Lists indexed by a signed literal l; a negative l wraps to the upper half.
     value = [0] * (2 * nv + 1)  # 1 true, -1 false, 0 free
-    level, reason = [0] * (nv + 1), [None] * (nv + 1)  # reason: a clause id, learnt ones from m on
+    watches = [[] for _ in value]  # learnt clauses with l in position 0 or 1
+    level, reason = [0] * (nv + 1), [None] * (nv + 1)  # reason: a clause index, or a learnt clause
     act, phase = [0.0] * (nv + 1), [True] * (nv + 1)
     heap = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, variable), stale entries skipped
     trail, trail_lim = [], []
@@ -550,23 +612,81 @@ def solve_cnf(cnf, time_budget=None):
         for w, b in flips[lit]:
             words[w] ^= b
 
+    def literals(c):  # of a learnt clause, or of an original one by its index
+        return c if type(c) is list else lit_view[offset_view[c] : offset_view[c + 1]].tolist()
+
+    def watched(false_lit):
+        """Two-watched-literal propagation over the learnt clauses; returns a falsified one or None."""
+        ws = watches[false_lit]
+        watches[false_lit] = kept = []
+        for at, c in enumerate(ws):
+            if c[0] == false_lit:
+                c[0], c[1] = c[1], false_lit
+            if value[c[0]] == 1:
+                kept.append(c)
+                continue
+            for k in range(2, len(c)):
+                if value[c[k]] != -1:
+                    c[1], c[k] = c[k], false_lit
+                    watches[c[1]].append(c)
+                    break
+            else:
+                kept.append(c)
+                if value[c[0]] == -1:
+                    kept.extend(ws[at + 1 :])
+                    return c
+                assign(c[0], c)
+        return None
+
+    def units(ids):
+        """The clauses ids with under two literals not false, none true, each with its
+        literal not false (0 for none)."""
+        found = {}
+        if len(ids) <= _SHORT_PASS:
+            for c in ids.tolist():
+                unit = 0
+                for q in literals(c):
+                    if value[q] == 1 or not value[q] and unit not in (0, q):
+                        break  # satisfied, or two literals free
+                    if not value[q]:
+                        unit = q
+                else:
+                    found[c] = unit
+            return found.items()
+        # A true literal counts twice, so a clause that counts under 2 is unit or falsified.
+        if first is None:
+            cols = epn.take(ids, axis=1) & state
+            hit = (np.add.reduce(np.bitwise_count(cols), axis=(0, 1), dtype=np.uint8) < 2).nonzero()[0]
+            owners, bases = ids.take(hit), itertools.repeat(0)
+        else:
+            lo = first.take(ids)
+            n = first.take(ids + 1) - lo
+            ends = np.cumsum(n)
+            rows = np.arange(ends[-1]) + np.repeat(lo - ends + n, n)
+            cols = epn.take(rows, axis=1) & state.take(ew.take(rows), axis=2)
+            count = np.add.reduce(np.bitwise_count(cols), axis=(0, 1), dtype=np.uint8)
+            hit = np.repeat(np.add.reduceat(count, ends - n, dtype=np.int32) < 2, n).nonzero()[0]
+            owners, bases = np.repeat(ids, n).take(hit), (64 * ew.take(rows.take(hit))).tolist()
+        for c, w, (p, q) in zip(owners.tolist(), bases, cols[0].take(hit, axis=1).T.tolist()):
+            if p or q or c not in found:
+                found[c] = w + p.bit_length() if p else -(w + q.bit_length()) if q else 0
+        return found.items()
+
     def propagate(ids=None):
         """Unit propagation over the clauses ids, if given, then over those of
         each literal falsified from qhead on; returns a falsified clause or None."""
         nonlocal qhead
         while ids is not None or qhead < len(trail):
             if ids is None:  # the clauses of the next literal to become false
-                ids, qhead = occ[cuts[nv - trail[qhead]] : cuts[nv - trail[qhead] + 1]], qhead + 1
+                l, qhead = -trail[qhead], qhead + 1
                 stats["propagations"] += 1
-            # A true literal counts twice, so a clause with under 2 bits is unit or falsified.
-            cols = np.concatenate((learnt_masks, masks.take(ids, axis=1)), axis=1) & state
-            pos = (np.add.reduce(np.bitwise_count(cols), axis=(0, 1), dtype=count) < 2).nonzero()[0]
-            data, k = cols[0].take(pos, axis=1).T.tobytes(), len(learnts)
-            for j, at in zip(pos.tolist(), range(0, len(data), 16 * width)):
-                b = int.from_bytes(data[at : at + 16 * width], "little").bit_length()
-                c, lit = m + j if j < k else int(ids[j - k]), b if b <= 64 * width else 64 * width - b
+                confl = watched(l)
+                if confl is not None:
+                    return confl
+                ids = occ[cuts[l + nv] : cuts[l + nv + 1]]
+            for c, lit in units(ids):
                 # Units assigned since the pass may have made lit true or false.
-                if not b or value[lit] == -1:
+                if not lit or value[lit] == -1:
                     return c
                 if not value[lit]:
                     assign(lit, c)
@@ -586,7 +706,11 @@ def solve_cnf(cnf, time_budget=None):
             del trail[trail_lim[lvl] :], trail_lim[lvl:]
         qhead = len(trail)
 
-    ids = (np.add.reduce(np.bitwise_count(masks), axis=0, dtype=count) < 2).nonzero()[0]  # units, empty clauses
+    # The first pass takes the clauses with one distinct literal.
+    ids = np.add.reduce(np.bitwise_count(epn), axis=0, dtype=np.uint8)
+    if first is not None:
+        ids = np.add.reduceat(ids, first[:m], dtype=np.int32)
+    ids = (ids < 2).nonzero()[0]
     while True:
         confl, ids = propagate(ids), None
         if confl is not None:
@@ -596,7 +720,7 @@ def solve_cnf(cnf, time_budget=None):
             # 1-UIP: resolve along the trail until one literal of this level is left.
             learnt, seen, pending, idx = [0], set(), 0, len(trail)
             while True:
-                for q in learnts[confl - m] if confl >= m else lits[offsets[confl] : offsets[confl + 1]].tolist():
+                for q in literals(confl):
                     v = abs(q)
                     if v not in seen and level[v]:
                         seen.add(v)
@@ -615,11 +739,11 @@ def solve_cnf(cnf, time_budget=None):
             learnt[0] = -trail[idx]
             learnt[1:] = sorted(learnt[1:], key=lambda q: -level[abs(q)])
             cancel(level[abs(learnt[1])] if len(learnt) > 1 else 0)
-            learnt_masks = np.append(learnt_masks, np.zeros((2 * width, 1), dtype=np.uint64), axis=1)
-            for q in learnt:
-                learnt_masks[place[q][0], -1] |= place[q][1]
+            if len(learnt) > 1:
+                watches[learnt[0]].append(learnt)
+                watches[learnt[1]].append(learnt)
             learnts.append(learnt)
-            assign(learnt[0], m + len(learnts) - 1)
+            assign(learnt[0], learnt)
             stats["learnt"] += 1
             inc /= 0.95
             continue

@@ -541,23 +541,82 @@ def test_unsat_answers_with_masks_over_a_word_edge(by, num_vars):
     check_refutation(cnf, res.learnt)
 
 
-def test_solver_refuses_a_cnf_past_its_key_range():
-    # (2 * 2^15 + 1) * (2^15 + 1) literal-clause keys pass the int32 range of the occurrence sort.
-    with pytest.raises(CapacityError, match="too many for the solver"):
-        solve_cnf(CnfFormula.from_clauses(2**15, [(1,)] * (2**15 + 1)))
+@pytest.mark.parametrize("first", [[], [(1,)]], ids=["sat", "unsat"])
+def test_solver_takes_a_cnf_past_the_int32_key_range(first):
+    # Not x_n and x_v -> x_{v+1} force every variable false, top down over 256 mask words:
+    # each step reads the clauses of a positive literal, whose occurrence keys are the largest.
+    # The clause count times 2 * 2^14 + 1 passes the int32 range of those keys.
+    n = 2**14
+    implications = [(v + 1, -v) for v in range(1, n)]
+    cnf = CnfFormula.from_clauses(n, first + [(-n,)] + implications * 4 + implications[: 3 - len(first)])
+    assert (2 * cnf.num_vars + 1) * cnf.num_clauses >= 2**31
+    res = solve_cnf(cnf)
+    assert res.stats["decisions"] == 0
+    if first:
+        assert res.status == "unsat" and res.stats["conflicts"] == 1
+    else:
+        assert res.status == "sat" and not any(res.assignment.values())
+        assert res.stats["propagations"] == n
+
+
+@pytest.mark.parametrize("pigeons", [6, 7])
+def test_no_clause_is_learnt_twice(pigeons):
+    # Propagation reaches its fixpoint, over original and learnt clauses, before each
+    # decision, so a clause already held turns unit before it could be falsified.
+    res = solve_cnf(php_formula(pigeons, pigeons - 1))
+    assert res.status == "unsat"
+    learnt = [frozenset(c) for c in res.learnt]
+    assert len(set(learnt)) == len(learnt)
+
+
+def test_a_literal_repeated_across_mask_words_counts_once(monkeypatch):
+    # x1 stands on both sides of x100, in another mask word; with x100 false the clause
+    # is unit on x1, which forces the rest.
+    monkeypatch.setattr(ramsey, "_SHORT_PASS", 0)
+    cnf = CnfFormula.from_clauses(100, [(-100,), (1, 100, 1)] + [(-1, v) for v in range(2, 100)])
+    res = solve_cnf(cnf)
+    assert res.status == "sat" and res.stats["decisions"] == 0
+    assert [v for v, true in res.assignment.items() if not true] == [100]
+
+
+def planted_3cnf(num_vars=150, num_clauses=600, seed=3):
+    """A random 3-CNF that a hidden assignment satisfies."""
+    rng = random.Random(seed)
+    planted = [rng.random() < 0.5 for _ in range(num_vars)]
+    clauses = []
+    while len(clauses) < num_clauses:
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        if any(planted[abs(l) - 1] == (l > 0) for l in lits):
+            clauses.append(tuple(lits))
+    return CnfFormula.from_clauses(num_vars, clauses)
 
 
 def test_planted_3cnf_on_150_variables():
-    rng = random.Random(3)
-    planted = [rng.random() < 0.5 for _ in range(150)]
-    clauses = []
-    while len(clauses) < 600:
-        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 151), 3)]
-        if any(planted[abs(l) - 1] == (l > 0) for l in lits):
-            clauses.append(tuple(lits))
-    res = solve_cnf(CnfFormula.from_clauses(150, clauses))
+    cnf = planted_3cnf()
+    res = solve_cnf(cnf)
     assert res.status == "sat"
-    assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in clauses)
+    assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in cnf.clauses)
+
+
+@pytest.mark.parametrize(
+    "cnf",
+    [
+        php_formula(5, 4),
+        shifted(php_formula(4, 3), 124, 136),
+        ramsey.encode_copies(11, np.array(list(itertools.combinations(range(11), 6)))),
+        planted_3cnf(),
+    ],
+    ids=["php(5,4)", "php(4,3) past bit 128", "chain pigeonhole", "planted 3-CNF"],
+)
+def test_short_passes_find_the_units_the_mask_pass_finds(cnf, monkeypatch):
+    # Every pass read in Python, then every pass through the bitmasks: the same search.
+    answers = []
+    for short in (10**9, 0):
+        monkeypatch.setattr(ramsey, "_SHORT_PASS", short)
+        res = solve_cnf(cnf)
+        answers.append((res.status, res.stats, res.learnt, res.assignment))
+    assert answers[0] == answers[1]
+    assert answers[0][1]["conflicts"] > 0
 
 
 def test_chain_pigeonhole_restarts_and_rechecks_its_learnt_log(monkeypatch):
@@ -626,11 +685,16 @@ def spread_cnfs(draw):
 @settings(max_examples=150, deadline=None)
 @given(spread_cnfs())
 def test_solver_agrees_with_enumeration_over_wide_masks(pair):
+    # Once as solved, and once with every pass through the clause bitmasks.
     cnf, spread = pair
-    res = solve_cnf(spread)
-    assert res.status == ("sat" if brute_sat(cnf) else "unsat")
-    if res.status == "sat":
-        assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in spread.clauses)
+    expected = "sat" if brute_sat(cnf) else "unsat"
+    for short in (ramsey._SHORT_PASS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ramsey, "_SHORT_PASS", short)
+            res = solve_cnf(spread)
+        assert res.status == expected
+        if res.status == "sat":
+            assert all(any(res.assignment[abs(l)] == (l > 0) for l in c) for c in spread.clauses)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0])
