@@ -33,8 +33,8 @@ DEFAULT_SIZE_CAP = 14
 # The mirror ascent iterates on the subposets whose exponent was within this
 # margin of the minimum at the last full-table evaluation.
 WS_MARGIN = 0.05
-# The KKT polish and the LP bound count a subposet as active within this
-# margin of the minimum.
+# The polish and the LP bound count a subposet as active within this margin
+# of the minimum.
 ACTIVE_TOL = 1e-3
 # classify counts a subposet as below a weighting's target beyond this margin.
 CLASSIFY_TOL = 1e-9
@@ -134,7 +134,7 @@ class ExponentTable:
     restricted table, blocks of at most ``_MASS_BLOCK_CELLS`` cells of the
     full one, so a full evaluation neither allocates nor keeps a second
     table-sized array. ``restrict`` gives the same table over a subset of
-    the rows: the ascent's working set, and the KKT polish's active rows.
+    the rows: the ascent's working set, and the polish's rows.
     """
 
     __slots__ = (
@@ -296,14 +296,16 @@ class CriticalExponentReport:
     notes: list = field(default_factory=list)
     # How the optimizer got there, kept out of the JSON record:
     # "full_evaluations" counts the full-table evaluations c_star makes
-    # itself (those inside the KKT polish and the LP bound are not
-    # counted), and "polls" holds one dict per poll of the ascent with its
-    # full evaluations, largest working set, working-set misses, the KKT
-    # polish's outcome ("polish": "improved", "no gain" or "failed"), the
-    # LP bound's simplex pivots ("lp_pivots") and duality gap ("lp_gap",
-    # None when the solve failed), the wall seconds of its ascent, polish
-    # and LP bound ("seconds"), and the bracket width after it. A
-    # disconnected poset lists its components' stats under "components".
+    # itself (those inside the polish and the LP bound are not counted),
+    # and "polls" holds one dict per poll of the ascent with its full
+    # evaluations, largest working set, working-set misses, the polish's
+    # outcome ("polish": "improved" or "no gain"), the Newton steps of its
+    # interior-point solves ("newton_steps") and its final row count
+    # ("rows"), the LP bound's simplex pivots ("lp_pivots") and duality gap
+    # ("lp_gap", None when the solve failed), the wall seconds of its
+    # ascent, polish and LP bound ("seconds"), and the bracket width after
+    # it. A disconnected poset lists its components' stats under
+    # "components".
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self):
@@ -343,11 +345,11 @@ class Classification:
 # -- the optimizer -------------------------------------------------------------
 
 
-# The KKT polish and the LP bound use at most this many active subposets.
+# The polish starts from, and the LP bound uses, at most this many active subposets.
 _DUAL_MAX_TERMS = 120
-# The KKT polish's rounds of dropping negative multipliers, and Newton steps per round.
-_KKT_ROUNDS = 6
-_KKT_ITERS = 60
+# The interior-point solve's Newton steps at most, and the mask cells its Hessian builds at once.
+_IPM_STEPS = 60
+_IPM_MASK_CELLS = 1 << 22
 # _game_lp's feasibility and pivot tolerance, and its pivot cap.
 _LP_TOL = 1e-12
 _LP_MAX_PIVOTS = 20000
@@ -398,18 +400,21 @@ def _game_lp(M):
         tab -= np.outer(col, tab[r])
         basis[r] = j
         pivots += 1
-    # Both strategies come from the final basis, not from the updated
-    # tableau, whose roundoff grows with the pivots.
+    # Both strategies come from the final basis, free of the tableau's growing
+    # roundoff, but a near-singular basis loses digits: lam is the basis's or the
+    # tableau's (never all 0), whichever has the smaller max_j (M lam)_j.
     basic = cons[:, basis]
     try:
         x_basic = np.linalg.solve(basic, np.full(k, -1.0))
-        lam = np.maximum(-np.linalg.solve(basic.T, (basis < m).astype(float)), 0.0)
+        lams = [-np.linalg.solve(basic.T, (basis < m).astype(float)), tab[k, m:-1]]
     except np.linalg.LinAlgError:
         return None, None, pivots
+    lams = [np.maximum(v, 0.0) for v in lams]
+    lam = min((v / v.sum() for v in lams if v.sum() > 0), key=lambda v: (M @ v).max())
     x = np.zeros(m)
     in_x = basis < m
     x[basis[in_x]] = np.maximum(x_basic[in_x], 0.0)
-    return lam / lam.sum(), x / x.sum(), pivots
+    return lam, x / x.sum(), pivots
 
 
 def _dual_upper_bound(table, alpha, record=None):
@@ -449,86 +454,86 @@ def _dual_upper_bound(table, alpha, record=None):
     return math.nextafter(bound + (k + m + 4) * np.finfo(float).eps * scale, math.inf)
 
 
-def _kkt_polish(table, alpha, vals):
-    """Newton refinement of a near-optimal weighting on its active set.
+def _polish(table, alpha, vals):
+    """Interior-point refinement of a weighting alpha with full-table exponents vals.
 
-    Solves the stationarity system for the detected support and the active
-    subposets the LP bound would choose, from alpha and its exponents vals;
-    returns a refined full weighting, or None when the solve does not
-    produce a usable point. The caller re-evaluates honestly.
+    Solves on ``_active_rows(vals)`` and adds the rows active at each result
+    on the full table until none is new. Returns the last result, its
+    full-table exponents, the Newton steps of all solves and the row count.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    support = np.where(alpha > 1e-10)[0]
-    active = _active_rows(vals)
-    level = float(vals.min())
-    for _ in range(_KKT_ROUNDS):
-        result = _kkt_solve(table, alpha, support, active, level)
-        if result is None:
-            return None
-        refined, lam = result
-        bad = [active[t] for t in range(len(active)) if lam[t] < -1e-7]
-        if not bad or len(active) <= 1:
-            return refined
-        active = [qi for qi in active if qi not in bad]
-        alpha = refined
-        level = table.objective(alpha)
-    return refined
+    rows, steps = _active_rows(vals), 0
+    while True:
+        alpha, taken = _interior_point(table.restrict(rows), alpha)
+        steps += taken
+        vals = table.values(alpha)
+        new = [r for r in _active_rows(vals) if r not in rows]
+        if not new:
+            return alpha, vals, steps, len(rows)
+        rows += new
 
 
-def _kkt_solve(table, alpha, support, active, t):
-    """Newton steps on the stationarity system, built from the active rows' block masses.
+def _interior_point(sub, alpha):
+    """Maximise t subject to sub's exponents f >= t, with x on the simplex, from alpha.
 
-    t is the objective at alpha.
+    Mehrotra's predictor-corrector on the primal-dual system. The slacks
+    s = f - t are variables, so the start need not be feasible. With s and
+    the multipliers z of x >= 0 eliminated, each step solves one symmetric
+    system in (x, lam, t, nu); its x block is the Hessian -sum_q lam_q / |Q|
+    B_q^T diag(1 / beta) B_q minus z / x and a ridge of 1e-12 of the
+    Hessian's largest entry. Returns x, normalised, and the Newton steps.
     """
-    s = support.size
-    k = len(active)
-    x = np.maximum(alpha[support], 1e-14)
-    x = x / x.sum()
-    lam = np.full(k, 1.0 / k)
-    nu = 0.0
-    sub = table.restrict(active)
-    cells = sub.index[:, support]
-    # Support pairs in the same block of each active subposet's partition.
-    same = cells[:, :, None] == cells[:, None, :]
-    weights = np.zeros(len(table.family))
-    for _ in range(_KKT_ITERS):
-        weights[support] = x
-        beta = sub.masses(weights)
-        grads = sub.gradients(beta)[:, support]
-        res = np.concatenate([lam @ grads - nu, sub.exponents(beta) - t, [x.sum() - 1.0, lam.sum() - 1.0]])
-        if not np.all(np.isfinite(res)):
-            return None
-        if np.abs(res).max() < 1e-13:
+    m, k = len(sub.family), len(sub.q_masks)
+    x = (1.0 - 1e-6) * np.asarray(alpha, dtype=float) + 1e-6 / m
+    beta = sub.masses(x)
+    f = sub.exponents(beta)
+    delta = max(float(f.max() - f.min()), 1e-6)
+    s = f - f.min() + delta
+    t, lam, z, nu = float(f.min()) - delta, delta / (k * s), delta / (k * x), 0.0
+    chunk = max(1, _IPM_MASK_CELLS // (m * m))
+    on_x, on_lam = np.arange(m), np.arange(m, m + k)
+    kkt = np.zeros((m + k + 2, m + k + 2))
+    kkt[on_x, -1] = kkt[-1, on_x] = kkt[on_lam, -2] = kkt[-2, on_lam] = -1.0
+    for steps in range(_IPM_STEPS + 1):
+        grads = sub.gradients(beta)
+        r_x, r_f, r_t, r_e = lam @ grads + z - nu, f - t - s, 1.0 - lam.sum(), x.sum() - 1.0
+        mu = (lam @ s + z @ x) / (k + m)
+        # A slack may lag its row's exponent; the row itself is infeasible by t - f.
+        residual = max(np.abs(r_x).max(), t - f.min(), abs(r_t), abs(r_e))
+        if steps == _IPM_STEPS or ((k + m) * mu < 1e-14 and residual < 1e-12):
             break
-        jac = np.zeros((s + k + 2, s + k + 2))
-        # The Hessian: sum over active Q of -lam_Q / (|Q| beta) on pairs in one block.
-        jac[:s, :s] = -np.einsum("ai,aij->ij", (lam / sub.sizes)[:, None] / beta[cells], same)
-        jac[:s, s : s + k] = grads.T
-        jac[:s, s + k] = -1.0
-        jac[s : s + k, :s] = grads
-        jac[s : s + k, s + k + 1] = -1.0
-        jac[s + k, :s] = 1.0
-        jac[s + k + 1, s : s + k] = 1.0
-        try:
-            # gelsd (SVD): these systems are heavily rank-deficient; gelsy stalls when cores are busy.
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        dx = step[:s]
-        scale = 1.0
-        neg = dx < 0
-        if np.any(neg):
-            scale = min(scale, float(0.8 * np.min(x[neg] / -dx[neg])))
-        if not math.isfinite(scale) or scale <= 0:
-            return None
-        x = x + scale * dx
-        lam = lam + scale * step[s : s + k]
-        nu += scale * step[s + k]
-        t += scale * step[s + k + 1]
-        x = np.maximum(x, 1e-300)
-        x = x / x.sum()
-    weights[support] = x
-    return weights, lam
+        weights, hess = (lam / sub.sizes)[:, None] / beta[sub.index], np.zeros((m, m))
+        for lo in range(0, k, chunk):
+            cells = sub.index[lo : lo + chunk]
+            # Pairs of antichains in the same block of each row's subposet, chunk rows at a time.
+            hess += np.einsum("ai,aij->ij", weights[lo : lo + chunk], cells[:, :, None] == cells[:, None, :])
+        kkt[:m, :m] = -hess
+        kkt[on_x, on_x] -= z / x + 1e-12 * hess.max()
+        kkt[:m, m:-2], kkt[m:-2, :m] = grads.T, grads
+        kkt[on_lam, on_lam] = s / lam
+
+        def direction(r_s, r_z):
+            """(dx, ds, dlam, dz, dt, dnu) for the complementarity residuals lam * s - r_s and z * x - r_z."""
+            d = np.linalg.solve(kkt, np.concatenate([r_z / x - r_x, -r_f - r_s / lam, [-r_t, r_e]]))
+            dx, dlam = d[:m], d[m:-2]
+            return dx, -(r_s + s * dlam) / lam, dlam, -(r_z + z * dx) / x, d[-2], d[-1]
+
+        def longest(step, frac):
+            # frac of the longest step, at most 1, that keeps x, s, lam and z positive.
+            v, dv = np.concatenate([x, s, lam, z]), np.concatenate(step[:4])
+            neg = dv < 0
+            return min(1.0, frac * float(np.min(v[neg] / -dv[neg]))) if neg.any() else 1.0
+
+        dx, ds, dlam, dz, _, _ = affine = direction(lam * s, z * x)
+        a = longest(affine, 1.0)
+        mu_affine = ((lam + a * dlam) @ (s + a * ds) + (z + a * dz) @ (x + a * dx)) / (k + m)
+        # A centre a tenth of the stopping level at least keeps s / lam and z / x finite.
+        centre = max((mu_affine / mu) ** 3 * mu, 1e-15 / (k + m))
+        dx, ds, dlam, dz, dt, dnu = step = direction(lam * s + dlam * ds - centre, z * x + dz * dx - centre)
+        a = longest(step, 0.99)
+        x, s, lam, z, t, nu = x + a * dx, s + a * ds, lam + a * dlam, z + a * dz, t + a * dt, nu + a * dnu
+        beta = sub.masses(x)
+        f = sub.exponents(beta)
+    return x / x.sum(), steps
 
 
 def two_point_weighting(family, x_star):
@@ -663,8 +668,8 @@ def fits(n):
 def c_star(poset, tol=1e-6, max_iter=6000, name=None):
     """Certified max-min containment exponent of a poset.
 
-    Entropic mirror ascent over the antichain simplex and a Newton polish on
-    the detected active set find the certificate. The ascent steps on a
+    Entropic mirror ascent over the antichain simplex and an interior-point
+    polish on the active subposets find the certificate. The ascent steps on a
     working set, the subposets within ``WS_MARGIN`` of the minimum at the
     last full-table evaluation. A full evaluation refreshes the set after a
     gap that doubles, up to the poll length, while the set holds the full
@@ -717,18 +722,12 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
     best_val = -math.inf
     full_evaluations = 0
 
-    def try_improvements(candidate, vals=None):
+    def try_improvements(candidate, vals):
         nonlocal best_val, best_alpha, best_vals, full_evaluations
-        if candidate is None:
-            return
         full_evaluations += 1
-        if vals is None:
-            vals = table.values(candidate)
         v = float(vals.min())
         if v > best_val:
-            best_val = v
-            best_alpha = candidate
-            best_vals = vals
+            best_val, best_alpha, best_vals = v, candidate, vals
 
     for alpha0, vals0 in starts:
         try_improvements(alpha0, vals0)
@@ -779,12 +778,12 @@ def c_star(poset, tol=1e-6, max_iter=6000, name=None):
             alpha /= alpha.sum()
         if ws.objective(alpha) > ws_best_val:
             ws_best_alpha = alpha
-        try_improvements(ws_best_alpha)
+        try_improvements(ws_best_alpha, table.values(ws_best_alpha))
         t1 = time.perf_counter()
-        polished = _kkt_polish(table, best_alpha, best_vals)
+        polished, polished_vals, record["newton_steps"], record["rows"] = _polish(table, best_alpha, best_vals)
         before = best_val
-        try_improvements(polished)
-        record["polish"] = "failed" if polished is None else "improved" if best_val > before else "no gain"
+        try_improvements(polished, polished_vals)
+        record["polish"] = "improved" if best_val > before else "no gain"
         record["full_evaluations"] = full_evaluations - evaluations_before
         t2 = time.perf_counter()
         upper = min(upper, _dual_upper_bound(table, best_alpha, record))

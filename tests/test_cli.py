@@ -137,11 +137,12 @@ def test_cstar_stats_go_to_stderr_only(capsys, extra):
     assert stats["full_evaluations"] >= len(stats["polls"]) >= 1
     poll = stats["polls"][0]
     assert set(poll) == {
-        "full_evaluations", "working_set", "misses", "polish", "lp_pivots", "lp_gap", "seconds",
-        "bracket_width",
+        "full_evaluations", "working_set", "misses", "polish", "newton_steps", "rows", "lp_pivots",
+        "lp_gap", "seconds", "bracket_width",
     }
     assert poll["lp_pivots"] >= 1 and abs(poll["lp_gap"]) <= 1e-12
-    assert poll["polish"] in {"improved", "no gain", "failed"}
+    assert poll["polish"] in {"improved", "no gain"}
+    assert poll["newton_steps"] >= 1 and poll["rows"] >= 1
     assert set(poll["seconds"]) == {"ascent", "polish", "lp"}
     assert all(s >= 0 for s in poll["seconds"].values())
 
@@ -372,22 +373,22 @@ def test_ramsey_bounds_host_above_the_arrow_cap_leaves_a_note(capsys):
 RAMSEY_BOUNDS_SHA256 = [
     ("--p v --q v",
      "22cb12645c839060bd4a5e14c8d3d53e3c9ff6ed92de5076ceff9484343ecd44",
-     "a3b21f9b3d165b4e5bc04da76c7884493c9c01f4e88426a9460edfb83cdad619"),
+     "f506044911cc01a06d6f6753aa291856b932eeca67789b4dc87a8d2a50763c87"),
     ("--p chain:2 --q v",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "39efcc1c19b3105276ede6e0978c031e64a405d982d05662a826a1956571e02a"),
+     "b2417e6c960327501ac370b4035053369280a73b0f3b6f4cfaf98c5e54b7e0fc"),
     ("--p v --q chain:2",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "a9d275ba9066b35ed5996abfa8eb25f4bff99c176a27589a4189acaca19a1344"),
+     "0eb90e401b1c457c9a58ff9c0e21a6c08901fb6ba83547b62188ad83cb11eaa4"),
     ("--p lambda --q v",
      "58bcd4c08d6a54e2504e3771443d8ed8a3a59984ef5c948c4c56655ef75a8275",
-     "b4eac591f25ed8f16c726f3967d949ff00b959ef645f0cef3e0844f639666580"),
+     "dbb867630721097d3e3bf21bd67f9d9f1df8ec1f3e8f483926e09f11499e6cad"),
     ("--p chain:3 --q v",
      "dc6856c45ee530ba3abb52b6239f8c28595fd4c563f401fc9cdb38dc8c87b9e2",
-     "ed856339255dd4412e8daa8718da9289c1b6c7189cce3ff1e117484fa1f5b8e4"),
+     "808bdf85d74aa01b24f18c5c2e6799d9388f4baadf8065679b3ee88ae319365e"),
     ("--p diamond --q chain:2",
      "37f6cc1b8ee3d709cf41c1246a1d395664ede9b80d7bd931cd2477a677b1a8a4",
-     "4f8170d95196bb315404c9b583403c94bbf0844e816ae259d859583f9c512a17"),
+     "efc756b844c76743cfc391d3ea5b5d1c1bb5a8b2023abc0f7762cd9ee7f734eb"),
     ("--p diamond --q diamond",
      "434560102bd0b1f405625660a576ab676d7cd082a886cdfa904b7613613e3ce0",
      "563cf74a0b38a0c682ea877229d6b4af7fd833ea09ffa684f949436db7fe753c"),
@@ -396,7 +397,7 @@ RAMSEY_BOUNDS_SHA256 = [
      "6a02e49f2a35c24e2c736ff2d7d8edba1cbc00585b6a62fe92704382d6361765"),
     ("--p v,lambda --q chain:2",
      "a24c1178fb7eacc1c2a6baa16ea1fa0ef7d23d906c7eaece4691ba086bfc5eeb",
-     "b253b4e0ae30333b5177baf4d60a879e662c7c784ce73ac5b7be00d07b155155"),
+     "11567b2df47b7f1fa25663e124d6054273b856092062792ed1f256bc489ddc6e"),
     ("--p chain:2 --q chain:3",
      "97e27388e54e2e099a12414fbccd93d942fb61506c706b1a98cf296e548bd8a1",
      "a12d56caefd7ad75e708c94610adbd7f56bc43e28c34a5cd40a2d24d0ebbf412"),
@@ -405,10 +406,10 @@ RAMSEY_BOUNDS_SHA256 = [
      "388cdee103fd1d023bfad6da38a020b49a66f7e1b97f64a664d3b2d535ed2ceb"),
     ("--p chain:2 --q y",
      "fdaf7afa86a8acbadc5f64315a3eacdaef4a0c318f5c07b919660600690294ed",
-     "ac2f36dbf01f6cbdc46df9dcd7e31166e7ab2293c8421c7f6fd31d9de3ddcb34"),
+     "946f281769fa7c2e2ab6ba3c9cfaf78324ab8ef9e3e3fa3882f02659173dba0d"),
     ("--p chain:2 --q lambda",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "39efcc1c19b3105276ede6e0978c031e64a405d982d05662a826a1956571e02a"),
+     "edefe25f8a7b5a08dc53313467f9b87f605d67f808100898c4fc3955688707cb"),
     ("--p boolean:2 --q boolean:2",
      "434560102bd0b1f405625660a576ab676d7cd082a886cdfa904b7613613e3ce0",
      "563cf74a0b38a0c682ea877229d6b4af7fd833ea09ffa684f949436db7fe753c"),
@@ -423,7 +424,7 @@ RAMSEY_BOUNDS_SHA256 = [
      "fbb0cd2d141cfe094ef857b2cafa37fbe0c587c8be54d14d68cc9b603edb8f30"),
     ("--p fish --q chain:2",
      "6dae18da40410a8e1e4e57761335c46149a0b5ec3775c419996de53952f7d9b5",
-     "477f8c37009b2ac91d9b4791b763abd02499a79e936211e1c82f43a8d3a97955"),
+     "0209d257e876304eff91d427702d1350f597685c4927fa80197dde933109de7e"),
     ("--p t2 --q v",
      "3dec91ce86258d122651ceca1fa50660c45cdf75e886fd90764eda66332acb7d",
      "30f7d6f9290c2c4e709dcceefa0cb395a7f595de443c0397f8a290ea1a6a9bc5"),
@@ -438,7 +439,7 @@ RAMSEY_BOUNDS_SHA256 = [
      "74fd48b507edfc5914375037d8aff74cf88af1c1b2bdc4b2111cf8814c7cdeba"),
     ("--p dd --q chain:2",
      "59fd1e6f25f2eb4e1dc5874a48e8860b6d482b83a3fb29f7fab438c8096c1b7f",
-     "b69f9f647e4548439b782bd6dcde5ef3e2266ba4a35be817ad31383e0f9abd18"),
+     "708927d6318ab64de38fe8109cb46cf5b3af78d05d892d567ca74580f21bb1b4"),
     ("--p antichain:2 --q antichain:2",
      "4342d6b6a1efacae3a53b903f5187ab6a51352ff92680822ad90c3f1e8d441c2",
      "f67a8c5c681515146fb29f4249339aabfda79d8c641b5e09a0a3c75c8e1c6f59"),
@@ -447,19 +448,19 @@ RAMSEY_BOUNDS_SHA256 = [
      "5b6fc5d6a7c9538561eb4fdda5ce13fe2792045876cb731e4585c3e2b6fa59aa"),
     ("--p v --q lambda",
      "58bcd4c08d6a54e2504e3771443d8ed8a3a59984ef5c948c4c56655ef75a8275",
-     "b4eac591f25ed8f16c726f3967d949ff00b959ef645f0cef3e0844f639666580"),
+     "dbb867630721097d3e3bf21bd67f9d9f1df8ec1f3e8f483926e09f11499e6cad"),
     ("--p chain:2 --q y --h-poset y''",
      "4a000b27657458bc15eb73841dcdce8a68063d781fbdae4fd20c452727d1a531",
-     "7051e69fc4c3909b53d599e4cf7c9a00dcf319021fa57764e2cc5110751753e6"),
+     "25e66971c60a056e62fca1be23902cd3df66a01a9a4ba35d91074e34e2947566"),
     ("--p diamond --q diamond --h-poset dd",
      "7a6bdc59979d273d9623f2674c4517647cddac21b2ace76e98b323b07ffc03d8",
      "0bb600d2e3a5faff76540d73b2a34ce1e63989c1983d8d33b8c0b54d7a8309f5"),
     ("--p v --q v --h-poset t2",
      "22cb12645c839060bd4a5e14c8d3d53e3c9ff6ed92de5076ceff9484343ecd44",
-     "a3b21f9b3d165b4e5bc04da76c7884493c9c01f4e88426a9460edfb83cdad619"),
+     "f506044911cc01a06d6f6753aa291856b932eeca67789b4dc87a8d2a50763c87"),
     ("--p chain:2 --q v --h-poset y'",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "39efcc1c19b3105276ede6e0978c031e64a405d982d05662a826a1956571e02a"),
+     "b2417e6c960327501ac370b4035053369280a73b0f3b6f4cfaf98c5e54b7e0fc"),
 ]
 
 

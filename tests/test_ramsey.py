@@ -889,13 +889,18 @@ def test_bound_candidates_above_the_exponent_cap_leave_notes():
     ]
 
 
-def test_an_unconverged_host_leaves_a_note():
-    # c* of this host stops at its iteration cap with bracket width 1.9e-4.
+def test_an_unconverged_host_leaves_a_note(monkeypatch):
+    # The host's c* gets no iterations, so it stops unconverged at the
+    # bracket of its uniform start.
     host = Poset(9, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 7), (1, 8), (2, 4), (2, 6),
                      (3, 7), (5, 6), (5, 7), (6, 8)])
+    capped = c_star(host, max_iter=0)
+    assert not capped.converged
+    monkeypatch.setattr(ramsey.threshold, "c_star",
+                        lambda poset, name: c_star(poset, name=name, max_iter=0 if poset is host else 6000))
     rep = exponent_bounds(chain(2), chain(2), h_poset=host)
     plain = exponent_bounds(chain(2), chain(2))
     assert (rep.lower, rep.upper, rep.exact) == (plain.lower, plain.upper, plain.exact)
     assert plain.notes == []
-    assert len(rep.notes) == 1
-    assert rep.notes[0].startswith("user-supplied host unconverged: c* bracket width 1.9")
+    assert rep.notes == ["user-supplied host unconverged: c* bracket width %.3e"
+                         % (capped.upper_bound - capped.lower_bound)]
