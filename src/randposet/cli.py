@@ -74,7 +74,7 @@ def _labels(poset, mask):
 
 
 def _emit(args, record, human_lines):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(record, indent=2))
     else:
         for line in human_lines:
@@ -135,9 +135,7 @@ def _cmd_cstar(args):
         max_iter=args.max_iter,
         name=args.poset,
     )
-    record = rep.to_json_dict()
-    record["converged"] = rep.converged
-    _emit(args, record, _report_lines(args, rep, poset))
+    _emit(args, rep.to_json_dict(), _report_lines(args, rep, poset))
     _emit_stats(args, rep.stats)
     return EXIT_OK if rep.converged else EXIT_UNCONVERGED
 
@@ -350,6 +348,8 @@ def _cmd_sat_encode(args):
 def _cmd_sat_solve(args):
     seconds = {}
     if args.dimacs:
+        if args.host or args.pattern:
+            raise UsageError("--dimacs takes no --host or --pattern")
         with open(args.dimacs, "r", encoding="utf-8") as fh:
             cnf = _timed(seconds, "dimacs_parse", ramsey.parse_dimacs, fh.read())
     elif args.host and args.pattern:
@@ -400,6 +400,8 @@ def _parse_grid(args):
 
 
 def _cmd_simulate(args):
+    if args.json and args.output:
+        raise UsageError("--json and --output cannot be combined")
     pattern = _poset(args.pattern)
     grid = _parse_grid(args)
     report = simulate.sweep(
@@ -435,10 +437,11 @@ def _build_parser():
     parser = _Parser(prog="randposet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, json_output=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_output:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
     p = add("antichains", _cmd_antichains, "enumerate the antichains of a poset")
@@ -483,7 +486,7 @@ def _build_parser():
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--induced", action="store_true")
 
-    p = add("sat-encode", _cmd_sat_encode, "emit the avoidance CNF in DIMACS form")
+    p = add("sat-encode", _cmd_sat_encode, "emit the avoidance CNF in DIMACS form", json_output=False)
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--mode", choices=["all-weak", "all-induced", "subcube"], default="all-weak")

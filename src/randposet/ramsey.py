@@ -848,9 +848,10 @@ def _pair_variants(firsts, seconds):
 def exponent_bounds(first, second, h_poset=None):
     """Best known bracket for the Ramsey threshold exponents of a pair.
 
-    Each bound is c* of a candidate poset with its ends: "lower" for a host
-    that arrows the pair, "upper" for a colouring that avoids it, "exact"
-    for both. In tie order: the lexicographic product host and the first
+    Each bound is an end of the certified c* bracket of a candidate poset:
+    the lower end for a host that arrows the pair ("lower"), the upper end
+    for a colouring that avoids it ("upper"), and both for a poset that is
+    each ("exact"). In tie order: the lexicographic product host and the first
     defined tower colouring (single patterns), that tower again as the exact
     chain(s + t - 1) for two chains (pigeonhole), the pair's row of
     ``_KNOWN_HOSTS``, and ``h_poset`` once ``arrows`` confirms that it arrows
@@ -915,9 +916,9 @@ def exponent_bounds(first, second, h_poset=None):
         if not rep.converged:
             notes.append("%s unconverged: c* bracket width %.3e" % (source, rep.upper_bound - rep.lower_bound))
         if ends != "upper":
-            lower_cands.append((rep.value, source))
+            lower_cands.append((rep.lower_bound, source))
         if ends != "lower":
-            upper_cands.append((rep.value, source))
+            upper_cands.append((rep.upper_bound, source))
 
     report = RamseyBoundsReport(pair=(pname(firsts), pname(seconds)), notes=notes)
     report.lower, report.lower_source = max(lower_cands, key=lambda t: t[0], default=(None, ""))

@@ -27,24 +27,12 @@ from .correspondence import CopyMap, partition_of_copy
 DEFAULT_BUDGET = 10 ** 7
 
 
-@dataclass
-class Sample:
-    """A sampled family of distinct n-bit words with its sampling exponent."""
-
-    n: int
-    c: float
-    words: np.ndarray
-    seed: object = None
-
-    def __len__(self):
-        return int(self.words.size)
-
-
 def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
     """Sample the random family with retention probability exp(-c*n).
 
     The kept-count is binomial over all 2^n words; the words themselves are
-    distinct uniforms drawn by rejection. Words are returned sorted.
+    distinct uniforms drawn by rejection. Returns the words as a sorted
+    uint64 array.
     """
     if n < 0 or n > 62:
         raise PosetError("dimension must be between 0 and 62")
@@ -74,7 +62,7 @@ def sample_pnp(n, c, seed=None, budget=DEFAULT_BUDGET, rng=None):
             values, first = np.unique(batch, return_index=True)
             fresh = np.sort(values[np.argsort(first)[:need]])
         words = np.insert(words, np.searchsorted(words, fresh), fresh)
-    return Sample(n=n, c=c, words=words, seed=seed)
+    return words
 
 
 def _among(values, words):
@@ -84,18 +72,14 @@ def _among(values, words):
     return words[np.minimum(np.searchsorted(words, values), len(words) - 1)] == values
 
 
-def find_pattern(sample, pattern, induced=False):
+def find_pattern(words, pattern, induced=False):
     """Words forming a copy of the pattern, aligned to pattern elements, or None.
 
-    The first copy posets.copy_blocks finds, in its order of placement.
+    words is a sorted uint64 array, as sample_pnp returns. The first copy
+    posets.copy_blocks finds, in its order of placement.
     """
-    block = next(copy_blocks(sample.words, pattern, induced), None)
-    return None if block is None else tuple(sample.words[block[0]].tolist())
-
-
-def contains_pattern(sample, pattern, induced=False):
-    """Whether the sampled family contains a copy of the pattern."""
-    return find_pattern(sample, pattern, induced=induced) is not None
+    block = next(copy_blocks(words, pattern, induced), None)
+    return None if block is None else tuple(words[block[0]].tolist())
 
 
 def copy_weighting(pattern, n, image_words):
@@ -109,37 +93,16 @@ def copy_weighting(pattern, n, image_words):
 class SweepReport:
     """Empirical containment probabilities over a grid of exponents.
 
-    Per cell, ``cell_seconds`` holds the wall time, ``cell_stages`` the time
-    spent sampling and searching for a copy, and ``cell_words`` the words
-    sampled, as (sum, maximum) over its trials.
+    ``stats["cells"]`` holds one record per cell, kept out of the JSON
+    record: its exponent, wall time, the time spent sampling and searching
+    for a copy, and the words sampled as their sum and maximum over trials.
     """
 
     pattern_name: str
     n: int
     rows: list = field(default_factory=list)
-    cell_seconds: list = field(default_factory=list)
-    cell_stages: list = field(default_factory=list)
-    cell_words: list = field(default_factory=list)
     weight_records: list = field(default_factory=list)
-
-    @property
-    def stats(self):
-        """Time per stage and sample sizes per cell, kept out of the JSON record."""
-        return {
-            "cells": [
-                {
-                    "c": row["c"],
-                    "seconds": seconds,
-                    "sample_seconds": sample,
-                    "search_seconds": search,
-                    "words": total,
-                    "max_words": largest,
-                }
-                for row, seconds, (sample, search), (total, largest) in zip(
-                    self.rows, self.cell_seconds, self.cell_stages, self.cell_words
-                )
-            ]
-        }
+    stats: dict = field(default_factory=lambda: {"cells": []})
 
     def to_csv(self):
         lines = ["c,trials,successes,p_hat"]
@@ -217,7 +180,14 @@ def sweep(
                 "p_hat": successes / trials if trials else 0.0,
             }
         )
-        report.cell_seconds.append(time.monotonic() - started)
-        report.cell_stages.append((sampling, searching))
-        report.cell_words.append((words, largest))
+        report.stats["cells"].append(
+            {
+                "c": c,
+                "seconds": time.monotonic() - started,
+                "sample_seconds": sampling,
+                "search_seconds": searching,
+                "words": words,
+                "max_words": largest,
+            }
+        )
     return report

@@ -321,6 +321,7 @@ class CriticalExponentReport:
             "class": self.classification,
             "iterations": self.iterations,
             "tolerance": self.tolerance,
+            "converged": bool(self.converged),
         }
 
 

@@ -414,8 +414,7 @@ def test_criterion_10():
     n, c_value, runs, probe = 12, 0.3, 100000, 37
     hits = 0
     for k in range(runs):
-        sample = sample_pnp(n, c_value, seed=10_000_000 + k)
-        words = sample.words
+        words = sample_pnp(n, c_value, seed=10_000_000 + k)
         pos = int(np.searchsorted(words, probe))
         hits += pos < len(words) and int(words[pos]) == probe
     want = math.exp(-c_value * n)

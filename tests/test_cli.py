@@ -266,6 +266,23 @@ def test_table1_selected_rows(capsys):
     assert by_name["DD"]["computed"]["value"] == pytest.approx(0.38166486, abs=1e-6)
 
 
+def test_table1_json_rows_carry_converged(capsys, monkeypatch):
+    code, out, _ = run(capsys, "table1", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == len(_TABLE1)
+    assert all(list(row["computed"])[-1] == "converged" for row in rows)
+    assert all(row["computed"]["converged"] is True for row in rows)
+    # A row stopped before its bracket closes says so in its record, not only in its flags.
+    c_star = threshold.c_star
+    monkeypatch.setattr(threshold, "c_star", lambda poset, **kw: c_star(poset, max_iter=0, **kw))
+    code, out, _ = run(capsys, "table1", "--rows", "C(2),V", "--json")
+    assert code == 3
+    rows = json.loads(out)["rows"]
+    assert [row["computed"]["converged"] for row in rows] == [True, False]
+    assert "unconverged" in rows[1]["flags"]
+
+
 @pytest.mark.parametrize(
     "rows, named", [("V,nope", "'nope'"), ("nope", "'nope'"), ("V,,C(2)", "''")]
 )
@@ -328,7 +345,7 @@ def test_ramsey_bounds_host_takes_a_catalog_spelling(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["lower_source"] == "user-supplied host"
-    assert record["lower"] == threshold.c_star(catalog("y''")).value
+    assert record["lower"] == threshold.c_star(catalog("y''")).lower_bound
     assert not any("arrow" in note for note in record["notes"])
 
 
@@ -373,94 +390,94 @@ def test_ramsey_bounds_host_above_the_arrow_cap_leaves_a_note(capsys):
 RAMSEY_BOUNDS_SHA256 = [
     ("--p v --q v",
      "22cb12645c839060bd4a5e14c8d3d53e3c9ff6ed92de5076ceff9484343ecd44",
-     "f506044911cc01a06d6f6753aa291856b932eeca67789b4dc87a8d2a50763c87"),
+     "36e20834f9b592b812f12ec86dddc0d556567eebd258aec28f7dd65e772793fd"),
     ("--p chain:2 --q v",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "b2417e6c960327501ac370b4035053369280a73b0f3b6f4cfaf98c5e54b7e0fc"),
+     "d03a86af01bf96fd7fed28c79427b887a6b40aa53de256697015180d12ac6d22"),
     ("--p v --q chain:2",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "0eb90e401b1c457c9a58ff9c0e21a6c08901fb6ba83547b62188ad83cb11eaa4"),
+     "11d80b47487a9fe3d09d002c6d2df8fa4b10a7e282c1d4c9d5a93334c066be33"),
     ("--p lambda --q v",
      "58bcd4c08d6a54e2504e3771443d8ed8a3a59984ef5c948c4c56655ef75a8275",
-     "dbb867630721097d3e3bf21bd67f9d9f1df8ec1f3e8f483926e09f11499e6cad"),
+     "85a8ce8b3e5016fbf8fbe84f46d01577cfde0f0098d15c7a7a591c07289a6fe9"),
     ("--p chain:3 --q v",
      "dc6856c45ee530ba3abb52b6239f8c28595fd4c563f401fc9cdb38dc8c87b9e2",
-     "808bdf85d74aa01b24f18c5c2e6799d9388f4baadf8065679b3ee88ae319365e"),
+     "9a81189c24741fe297c6953594384fc8a8746982637ffc8d15a7fd2bab85088b"),
     ("--p diamond --q chain:2",
      "37f6cc1b8ee3d709cf41c1246a1d395664ede9b80d7bd931cd2477a677b1a8a4",
-     "efc756b844c76743cfc391d3ea5b5d1c1bb5a8b2023abc0f7762cd9ee7f734eb"),
+     "a01a8331b09b587f968c58065403fe0607bee1b335a164fc46980b6459fb0ae1"),
     ("--p diamond --q diamond",
      "434560102bd0b1f405625660a576ab676d7cd082a886cdfa904b7613613e3ce0",
-     "563cf74a0b38a0c682ea877229d6b4af7fd833ea09ffa684f949436db7fe753c"),
+     "52d4cd8c3b180970621ead6752fefa0b6bf38dfb74becd0acd0934597115cbc7"),
     ("--p v,lambda --q v,lambda",
      "0e93f5e636a913536f3247a02f4787de8f8361de2a0847742b3145c2e60aad97",
-     "6a02e49f2a35c24e2c736ff2d7d8edba1cbc00585b6a62fe92704382d6361765"),
+     "b0d7191e2cd32e68bcc134b33703dfc088b08cd6fbed5f9f98744f3989b0db98"),
     ("--p v,lambda --q chain:2",
      "a24c1178fb7eacc1c2a6baa16ea1fa0ef7d23d906c7eaece4691ba086bfc5eeb",
-     "11567b2df47b7f1fa25663e124d6054273b856092062792ed1f256bc489ddc6e"),
+     "c012666e7d3f261fa2c514a2408702ba09683bb2f1d15b04c4479580b8ef67c3"),
     ("--p chain:2 --q chain:3",
      "97e27388e54e2e099a12414fbccd93d942fb61506c706b1a98cf296e548bd8a1",
-     "a12d56caefd7ad75e708c94610adbd7f56bc43e28c34a5cd40a2d24d0ebbf412"),
+     "883244b284faf5dac16471fe50f767954574b68e90456c5ab6be927440b7fd3c"),
     ("--p chain:2 --q chain:2",
      "f5fec96ed401474602261568f50d9da5c1863d57570f4cc67c5beefa6fc83589",
-     "388cdee103fd1d023bfad6da38a020b49a66f7e1b97f64a664d3b2d535ed2ceb"),
+     "88f437135cbfe7442736a07de0e14d4ef7206e246b17582ce9e984025f3e2b95"),
     ("--p chain:2 --q y",
      "fdaf7afa86a8acbadc5f64315a3eacdaef4a0c318f5c07b919660600690294ed",
-     "946f281769fa7c2e2ab6ba3c9cfaf78324ab8ef9e3e3fa3882f02659173dba0d"),
+     "aa2001492631d25ffbf19b06098c98c41735a4bbc7041c6662ec38baaee8be21"),
     ("--p chain:2 --q lambda",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "edefe25f8a7b5a08dc53313467f9b87f605d67f808100898c4fc3955688707cb"),
+     "56b15ed24eab958fb5206e9f781ccd39cbf6e392608cf65d4bf8c0e1ed15002c"),
     ("--p boolean:2 --q boolean:2",
      "434560102bd0b1f405625660a576ab676d7cd082a886cdfa904b7613613e3ce0",
-     "563cf74a0b38a0c682ea877229d6b4af7fd833ea09ffa684f949436db7fe753c"),
+     "52d4cd8c3b180970621ead6752fefa0b6bf38dfb74becd0acd0934597115cbc7"),
     ("--p y --q y",
      "3dec91ce86258d122651ceca1fa50660c45cdf75e886fd90764eda66332acb7d",
      "1aaceeae8c112532ecbfbda64daee5253d0eb9eb183e722c732ff27134cf05d9"),
     ("--p chain:4 --q chain:4",
      "fb74b59e7d388b979aa0ce2dca9f9277398fd23edb2c69aa26cbffc9ddf30dc0",
-     "377a808bbd14b73295817e94942ce1bdf67623d979c9a0ae7e16b1fbb3d486be"),
+     "5dc764dcddf9221b23925f804c12b1adc6b2fe42172aca3c97ee18395339f109"),
     ("--p layered:2,2 --q v",
      "30748f0e11c0b6395e8f957f53f42c7510c7fcfee4b8e9e03cc0e93ab42d513e",
-     "fbb0cd2d141cfe094ef857b2cafa37fbe0c587c8be54d14d68cc9b603edb8f30"),
+     "e3e174a673ce14c940709a359cfe6fe9893b62ada2e8eba6fc5437bde15ace9f"),
     ("--p fish --q chain:2",
      "6dae18da40410a8e1e4e57761335c46149a0b5ec3775c419996de53952f7d9b5",
-     "0209d257e876304eff91d427702d1350f597685c4927fa80197dde933109de7e"),
+     "5edd4899a704678d777782ccde5728962d4d5049545c155d4f0829e89d628252"),
     ("--p t2 --q v",
      "3dec91ce86258d122651ceca1fa50660c45cdf75e886fd90764eda66332acb7d",
      "30f7d6f9290c2c4e709dcceefa0cb395a7f595de443c0397f8a290ea1a6a9bc5"),
     ("--p chain:2 --q antichain:2",
      "76db01718c2109f086ba6b014b02338565c6a741c15404e25b98f5c0f4ebd6f3",
-     "2a22227083dd413a3e40bfa2689500b13b3c3ddd113f7957cc77d80e1e86319f"),
+     "4bd75da10214b5a8884ffd9e991cac2e4a9b9383fae41899a236a7f3ea7e630f"),
     ("--p layered:1,3,1 --q layered:1,3,1",
      "d3967e21341ecc2a6dddaa87d75701969050524cfcc5d5d5bb1ee4fdab2429c9",
-     "505f32aae7935a95f3d876f9c9c021dd1d423cdf22ee56f00e8ba893029a0d30"),
+     "fe82460cd2f958bbcbae5bf3233ce0a64e7cc9fcfd28b1830be51c5d17c5693a"),
     ("--p y' --q y'",
      "3dec91ce86258d122651ceca1fa50660c45cdf75e886fd90764eda66332acb7d",
      "74fd48b507edfc5914375037d8aff74cf88af1c1b2bdc4b2111cf8814c7cdeba"),
     ("--p dd --q chain:2",
      "59fd1e6f25f2eb4e1dc5874a48e8860b6d482b83a3fb29f7fab438c8096c1b7f",
-     "708927d6318ab64de38fe8109cb46cf5b3af78d05d892d567ca74580f21bb1b4"),
+     "1f5ecfa5a77f2df926b4710924f516c0847fbe317b706896d478ced1417d0ff0"),
     ("--p antichain:2 --q antichain:2",
      "4342d6b6a1efacae3a53b903f5187ab6a51352ff92680822ad90c3f1e8d441c2",
-     "f67a8c5c681515146fb29f4249339aabfda79d8c641b5e09a0a3c75c8e1c6f59"),
+     "2fa2ec6baaeb961c5382536b59fab117f96bdf9b5af38d1c5738ae3ca1d38864"),
     ("--p chain:5 --q chain:3",
      "fb74b59e7d388b979aa0ce2dca9f9277398fd23edb2c69aa26cbffc9ddf30dc0",
-     "5b6fc5d6a7c9538561eb4fdda5ce13fe2792045876cb731e4585c3e2b6fa59aa"),
+     "b14449fa943ca17743c416fcd3d280188a8ef671d7886341b22744cffc799afa"),
     ("--p v --q lambda",
      "58bcd4c08d6a54e2504e3771443d8ed8a3a59984ef5c948c4c56655ef75a8275",
-     "dbb867630721097d3e3bf21bd67f9d9f1df8ec1f3e8f483926e09f11499e6cad"),
+     "85a8ce8b3e5016fbf8fbe84f46d01577cfde0f0098d15c7a7a591c07289a6fe9"),
     ("--p chain:2 --q y --h-poset y''",
      "4a000b27657458bc15eb73841dcdce8a68063d781fbdae4fd20c452727d1a531",
-     "25e66971c60a056e62fca1be23902cd3df66a01a9a4ba35d91074e34e2947566"),
+     "8cf70665f02c0ba403d9a3f94ff76b72e18925488ceb52d440f1f8d9da0a3b26"),
     ("--p diamond --q diamond --h-poset dd",
      "7a6bdc59979d273d9623f2674c4517647cddac21b2ace76e98b323b07ffc03d8",
-     "0bb600d2e3a5faff76540d73b2a34ce1e63989c1983d8d33b8c0b54d7a8309f5"),
+     "8de20707652965420ba7d230954dd7bf2f27de506f4ba856ad3b645364deb0cd"),
     ("--p v --q v --h-poset t2",
      "22cb12645c839060bd4a5e14c8d3d53e3c9ff6ed92de5076ceff9484343ecd44",
-     "f506044911cc01a06d6f6753aa291856b932eeca67789b4dc87a8d2a50763c87"),
+     "36e20834f9b592b812f12ec86dddc0d556567eebd258aec28f7dd65e772793fd"),
     ("--p chain:2 --q v --h-poset y'",
      "a9913a0c3b4d116b2a9d157201173e0a4f8c798eb8f8bb49c7cd60b87bbb0fb9",
-     "b2417e6c960327501ac370b4035053369280a73b0f3b6f4cfaf98c5e54b7e0fc"),
+     "d03a86af01bf96fd7fed28c79427b887a6b40aa53de256697015180d12ac6d22"),
 ]
 
 
@@ -783,7 +800,7 @@ def test_simulate_stats_go_to_stderr_only(tmp_path, capsys, extra):
     cells = json.loads(err)["cells"]
     assert [cell["c"] for cell in cells] == [0.3, 0.6]
     for cell in cells:
-        assert set(cell) == {"c", "seconds", "sample_seconds", "search_seconds", "words", "max_words"}
+        assert list(cell) == ["c", "seconds", "sample_seconds", "search_seconds", "words", "max_words"]
         assert cell["seconds"] >= 0 and 0 <= cell["max_words"] <= cell["words"] <= 3 * cell["max_words"]
         # The two stages run inside the cell's wall time.
         assert 0 <= cell["sample_seconds"] and 0 <= cell["search_seconds"]
@@ -861,6 +878,26 @@ def test_simulate_rejects_negative_trials(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "trials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat-encode", "--host", "boolean:2", "--pattern", "chain:2", "--json"],
+        ["simulate", "--pattern", "chain:2", "--n", "8", "--c", "0.3", "--trials", "2",
+         "--json", "--output", "{tmp}/sweep.csv"],
+        ["sat-solve", "--dimacs", "{tmp}/avoid.cnf", "--host", "boolean:2"],
+        ["sat-solve", "--dimacs", "{tmp}/avoid.cnf", "--pattern", "chain:2"],
+    ],
+    ids=["sat-encode-json", "simulate-json-output", "sat-solve-dimacs-host", "sat-solve-dimacs-pattern"],
+)
+def test_flag_the_command_would_ignore_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "avoid.cnf").write_text("p cnf 1 1\n1 0\n", encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # -- files the CLI cannot open ---------------------------------------------------

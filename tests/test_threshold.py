@@ -233,7 +233,7 @@ def test_cstar_report_is_certified():
         assert vals[q - 1] <= vals.min() + 1e-3
     keys = set(rep.to_json_dict())
     assert keys == {"poset", "m", "value", "lower", "upper", "certificate",
-                    "active", "class", "iterations", "tolerance"}
+                    "active", "class", "iterations", "tolerance", "converged"}
 
 
 def test_cstar_star_matches_root_finder():
